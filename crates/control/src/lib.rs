@@ -1,7 +1,7 @@
 //! # hnow-control
 //!
 //! The control plane of the sharded multicast service: the pure decision
-//! logic that turns the batch replayer in `hnow_sim::cluster` into an
+//! logic that turns the single-epoch pipeline in `hnow_sim::cluster` into an
 //! online service loop. Three concerns live here, each stateless or
 //! explicitly-stated-state so every decision is a deterministic function
 //! of its inputs:

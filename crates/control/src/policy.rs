@@ -53,9 +53,8 @@ pub trait GatewayPolicy: Sync {
     fn select(&self, candidates: &[GatewayCandidate]) -> usize;
 }
 
-/// The pre-control-plane baseline: the fastest member wins, ties by lowest
-/// global id. Exactly reproduces the batch path's inline
-/// `min_by(speed_cmp)` choice.
+/// The baseline: the fastest member wins, ties by lowest global id — the
+/// policy of every run without a control plane.
 struct FastestMember;
 
 impl GatewayPolicy for FastestMember {

@@ -1,12 +1,12 @@
 //! Experiment E12 — control-plane policy sweep: goodput and tail queue
-//! delay of the online service loop versus the uncontrolled batch replayer
-//! on identical request vectors.
+//! delay of the online service loop versus the uncontrolled single-epoch
+//! run on identical request vectors.
 //!
 //! The workload is the control plane's adversarial regime
 //! ([`HotSpotPattern`]): bursty flash crowds, half the sessions impatient,
 //! and a hot shard that rotates faster than any static partition can
 //! suit. Every point serves the *same* request vector; only the control
-//! configuration varies — no control (the batch path), admission with
+//! configuration varies — no control (one epoch), admission with
 //! each gateway policy, and admission plus the shard rebalancer. Expected
 //! shape: shortest-planned-`R_T`-first admission drains flash crowds in
 //! an order that lets more impatient sessions start before their patience
@@ -139,8 +139,8 @@ fn measure(
     let mut delays: Vec<u64> = report
         .per_session
         .iter()
-        .filter(|s| !s.record.abandoned)
-        .map(|s| s.record.queue_delay)
+        .filter(|s| !s.abandoned)
+        .map(|s| s.queue_delay)
         .collect();
     delays.sort_unstable();
     let p99_queue_delay = if delays.is_empty() {
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn admission_and_rebalancing_strictly_beat_no_control() {
         // The PR's acceptance claim: on the shifting hot-spot preset the
-        // full control plane wins *both* axes against the batch replayer
+        // full control plane wins *both* axes against the single-epoch run
         // on an identical request vector.
         let points = run(&ControlStudyConfig::default());
         let baseline = &points[0];

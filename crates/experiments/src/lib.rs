@@ -15,7 +15,7 @@
 //! | E8 | [`comparison`] | heterogeneity-aware vs oblivious scheduling |
 //! | E9 | [`robustness`] | simulator fidelity and overhead jitter |
 //! | E10 | [`traffic`] | sessions-at-scale service throughput (beyond the paper) |
-//! | E11 | [`sharded`] | sharded cluster service vs the flat engine (beyond the paper) |
+//! | E11 | [`sharded`] | sharded pool vs one flat shard through the same pipeline (beyond the paper) |
 //! | E12 | [`control`] | control-plane policy sweep under shifting hot spots (beyond the paper) |
 //! | E13 | [`reliability`] | repairer placement under injected loss (beyond the paper) |
 //! | E14 | [`streaming`] | pipelined vs sequential chunk trains (beyond the paper) |

@@ -183,8 +183,8 @@ pub fn run(config: &ReliabilityStudyConfig) -> Vec<ReliabilityPoint> {
             points.push(ReliabilityPoint {
                 rate,
                 placement: placement.to_string(),
-                completed: report.completed,
-                makespan: report.makespan,
+                completed: report.total.completed,
+                makespan: report.total.makespan,
                 delivered_fraction: report.reliability.delivered_fraction,
                 residual_loss: report.reliability.residual_loss,
                 degraded: report.reliability.degraded_sessions,

@@ -177,8 +177,8 @@ pub fn run(config: &StreamingStudyConfig) -> Vec<StreamingPoint> {
                     chunks,
                     mode: mode.to_string(),
                     rate,
-                    completed: report.completed,
-                    makespan: report.makespan,
+                    completed: report.total.completed,
+                    makespan: report.total.makespan,
                     throughput: report.streaming.steady_state_throughput,
                     deadline_miss_rate: report.streaming.deadline_miss_rate,
                     p50_jitter: report.streaming.p50_interchunk_jitter,

@@ -64,6 +64,13 @@ pub enum SimError {
         /// The pool builder's rejection.
         reason: String,
     },
+    /// A session's chunk train would end past [`Time::MAX`]: its last
+    /// release (`arrival + interval × (chunks − 1)`) plus its planned
+    /// completion overflows the clock.
+    TimeOverflow {
+        /// Id of the offending session.
+        session: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -99,6 +106,10 @@ impl fmt::Display for SimError {
             SimError::ThreadPool { reason } => {
                 write!(f, "could not build the pinned thread pool: {reason}")
             }
+            SimError::TimeOverflow { session } => write!(
+                f,
+                "session {session}'s chunk train ends past the largest representable time"
+            ),
         }
     }
 }

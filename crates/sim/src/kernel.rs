@@ -1,14 +1,14 @@
-//! The one occupancy kernel: the single discrete-event loop behind both
-//! the flat traffic engine ([`crate::sessions::TrafficEngine`]) and the
-//! sharded cluster's component simulation ([`crate::cluster`]).
+//! The one occupancy kernel: the single discrete-event loop behind the
+//! session pipeline's component simulation ([`crate::cluster`]) and the
+//! single-schedule [`kernel_replay`](crate::perturb::kernel_replay).
 //!
-//! Before unification the two engines ran hand-rolled copies of this loop
-//! whose same-instant tie-breaks had drifted apart (eager vs lazy arrival
-//! injection, fused vs re-queued receive claims, per-claim vs armed
-//! wake-ups), so the same request vector could produce different reports
-//! depending on which engine served it. This module is now the only event
-//! loop in the crate; both engines feed it [`SessionRuntime`]s and get the
-//! identical occupancy semantics.
+//! Before unification the flat and sharded engines ran hand-rolled copies
+//! of this loop whose same-instant tie-breaks had drifted apart (eager vs
+//! lazy arrival injection, fused vs re-queued receive claims, per-claim vs
+//! armed wake-ups), so the same request vector could produce different
+//! reports depending on which engine served it. This module is now the
+//! only event loop in the crate; every caller feeds it [`SessionRuntime`]s
+//! and gets the identical occupancy semantics.
 //!
 //! # The tie-break rule
 //!
@@ -262,8 +262,8 @@ pub(crate) struct CarryOut {
 /// returns the accumulated busy time per node (the utilization numerator).
 ///
 /// `specs` defines the node id space: `node_map` entries in `sessions`
-/// index into it. The flat engine passes the whole pool; the sharded
-/// cluster passes one contact component's nodes compacted to a dense range.
+/// index into it. The pipeline passes one contact component's nodes
+/// compacted to a dense range.
 /// `sessions` must be in request order — the slice position is the
 /// tie-break identity of rule 1, so two callers handing the kernel the same
 /// sessions in the same order get byte-identical outcomes regardless of how

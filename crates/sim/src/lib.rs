@@ -13,26 +13,28 @@
 //!
 //! * [`engine`] — the event-driven executor ([`execute`],
 //!   [`execute_with_specs`]).
-//! * [`sessions`] — the sessions-at-scale traffic engine: thousands of
-//!   overlapping multicast sessions planned in batches and executed against
-//!   shared per-node busy state ([`TrafficEngine`], [`TrafficReport`]).
-//! * [`cluster`] — the sharded cluster service: a front-end dispatcher over
-//!   per-shard engines with plan caches, gateway-stitched cross-shard
-//!   sessions, and component-wise simulation ([`ShardedCluster`],
-//!   [`ShardedTrafficReport`]). Both the traffic engine and the cluster run
-//!   the crate's single private occupancy kernel (`kernel`), so the two
-//!   surfaces share one documented same-instant tie-break rule.
-//! * [`config`] — the unified builder-style [`RunConfig`] consumed by both
-//!   engines via `with_config` (planner, loss/repair, chunk profile,
-//!   sharding, control plane, thread pinning, telemetry).
+//! * [`cluster`] — the session service: one epoch pipeline that
+//!   dispatches thousands of overlapping multicast sessions over a sharded
+//!   pool, plans them through per-shard plan caches (gateway-stitched when
+//!   a session spans shards), optionally admits and rebalances them under
+//!   the control plane, and simulates node-disjoint components of them
+//!   against shared per-node busy state ([`ShardedCluster`]). Every session
+//!   runs on the crate's single private occupancy kernel (`kernel`), with
+//!   one documented same-instant tie-break rule.
+//! * [`sessions`] — the flat entry point ([`TrafficEngine`]: the same
+//!   pipeline over one shard holding the whole pool) and the one report
+//!   both entry points return ([`TrafficReport`], [`SessionRecord`]).
+//! * [`config`] — the unified builder-style [`RunConfig`] both entry points
+//!   take via `with_config` (planner, loss/repair, chunk profile, sharding,
+//!   control plane, thread pinning, telemetry).
 //!
-//! Both engines carry an optional, strictly observation-only telemetry
+//! The pipeline carries an optional, strictly observation-only telemetry
 //! layer (the `hnow-telemetry` crate, attached via
 //! [`RunConfig::telemetry`]): the occupancy kernel streams structured
 //! [`TraceEvent`](hnow_telemetry::TraceEvent)s into any
 //! [`TraceSink`](hnow_telemetry::TraceSink) — exportable as Chrome
 //! `trace_event` JSON — a time-series collector folds the same stream into
-//! the report's schema-5 `telemetry` section, and a wall-clock
+//! the report's optional trailing `telemetry` section, and a wall-clock
 //! [`PhaseProfiler`](hnow_telemetry::PhaseProfiler) attributes
 //! plan/admit/bind/simulate/rebalance spans to worker threads without ever
 //! entering a report. Attaching or detaching any of the three never
@@ -83,7 +85,7 @@ pub mod validate;
 
 pub use cluster::{
     ControlConfig, ControlPlaneReport, MigrationRecord, RebalanceConfig, ShardReport,
-    ShardedCluster, ShardedClusterConfig, ShardedSessionRecord, ShardedTrafficReport,
+    ShardedCluster,
 };
 pub use config::RunConfig;
 pub use engine::{execute, execute_with_specs};
@@ -92,8 +94,8 @@ pub use event::{Event, EventQueue};
 pub use faults::{BurstProfile, LossProfile};
 pub use perturb::{kernel_replay, PerturbConfig};
 pub use sessions::{
-    CacheStats, ReliabilityReport, SessionRecord, StreamingReport, TrafficConfig, TrafficEngine,
-    TrafficMetrics, TrafficReport,
+    CacheStats, ReliabilityReport, SessionRecord, StreamingReport, TrafficEngine, TrafficMetrics,
+    TrafficReport,
 };
 pub use trace::{Activity, BusyInterval, SimTrace};
 pub use validate::{check_against_analytic, check_one_port};

@@ -87,31 +87,12 @@ impl PerturbConfig {
 /// rule with the traffic engine, which the pre-unification replay
 /// (`execute_with_specs`) only mirrors by construction.
 pub fn kernel_replay(tree: &ScheduleTree, specs: &[NodeSpec], net: NetParams) -> (Time, Time) {
-    let mut session = SessionRuntime {
-        id: 0,
-        arrival: Time::ZERO,
-        deadline: None,
-        node_map: (0..tree.num_nodes()).collect(),
-        children: Arc::new(children_lists(tree)),
-        repairer: None,
-        planned_reception: Time::ZERO,
-        planned_delivery: Time::ZERO,
-        started: None,
-        abandoned: false,
-        pending: tree.num_nodes() - 1,
-        completed_at: Time::ZERO,
-        delivered_at: Time::ZERO,
-        nacks: 0,
-        repair_sends: 0,
-        failed_members: 0,
-        repair_delays: Vec::new(),
-        chunks: 1,
-        chunk_interval: Time::ZERO,
-        chunk_deadline: None,
-        pipelined: true,
-        chunk_pending: Vec::new(),
-        chunk_completed_at: Vec::new(),
-    };
+    let mut session = SessionRuntime::new(
+        0,
+        Time::ZERO,
+        (0..tree.num_nodes()).collect(),
+        Arc::new(children_lists(tree)),
+    );
     kernel::simulate(specs, net, std::slice::from_mut(&mut session), None, None);
     (session.delivered_at, session.completed_at)
 }

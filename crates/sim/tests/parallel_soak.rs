@@ -9,7 +9,7 @@
 //! --ignored`.
 
 use hnow_model::{NetParams, Time};
-use hnow_sim::{RunConfig, ShardedCluster, ShardedTrafficReport};
+use hnow_sim::{RunConfig, ShardedCluster, TrafficReport};
 use hnow_workload::{
     default_message_size, two_class_table, NodePool, SessionRequest, ShardMap, ShardedPattern,
 };
@@ -24,11 +24,10 @@ fn run_serialized(
 ) -> (String, std::time::Duration) {
     let config = RunConfig::default().sharded(shards).with_threads(threads);
     let started = std::time::Instant::now();
-    let report: ShardedTrafficReport =
-        ShardedCluster::with_config(pool, NetParams::new(2), &config)
-            .unwrap()
-            .run(requests)
-            .unwrap();
+    let report: TrafficReport = ShardedCluster::with_config(pool, NetParams::new(2), &config)
+        .unwrap()
+        .run(requests)
+        .unwrap();
     let elapsed = started.elapsed();
     (serde_json::to_string(&report).unwrap(), elapsed)
 }

@@ -57,8 +57,8 @@ proptest! {
             let report = TrafficEngine::with_config(&pool, net, &config)
                 .run(&requests)
                 .unwrap();
-            prop_assert_eq!(report.completed, sessions);
-            prop_assert_eq!(report.abandoned, 0);
+            prop_assert_eq!(report.total.completed, sessions);
+            prop_assert_eq!(report.total.abandoned, 0);
             let planner = find(planner_name).unwrap();
             for (request, record) in requests.iter().zip(&report.per_session) {
                 // Independent single-shot reference plan for this session's
