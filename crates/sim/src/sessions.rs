@@ -377,7 +377,8 @@ impl TrafficMetrics {
         let mut abandoned = 0usize;
         let mut makespan = 0u64;
         let mut latencies = LogHistogram::new();
-        let mut queue_delay_sum = 0u64;
+        // 128 bits: a few long delays overflow a 64-bit sum.
+        let mut queue_delay_sum = 0u128;
         for record in records {
             sessions += 1;
             if record.abandoned {
@@ -386,7 +387,7 @@ impl TrafficMetrics {
                 completed += 1;
                 makespan = makespan.max(record.arrival + record.reception_latency);
                 latencies.record(record.reception_latency);
-                queue_delay_sum += record.queue_delay;
+                queue_delay_sum += u128::from(record.queue_delay);
             }
         }
         TrafficMetrics {
@@ -1248,6 +1249,37 @@ mod tests {
             matches!(sharded, Err(SimError::TimeOverflow { .. })),
             "the sharded cluster must reject the train"
         );
+    }
+
+    #[test]
+    fn extreme_chunk_intervals_aggregate_exact_means_on_both_engines() {
+        // A 2-chunk train released every u64::MAX / 2 ticks ends within the
+        // clock, but the latencies of four such sessions overflow a 64-bit
+        // sum: both entry points must still report their exact mean.
+        let pool = pool();
+        let net = NetParams::new(2);
+        let requests = spaced_requests(&pool, 4, 10);
+        let extreme = RunConfig::default().with_chunks(ChunkProfile::new(2, u64::MAX / 2));
+        let flat = TrafficEngine::with_config(&pool, net, &extreme).run(&requests);
+        let sharded = ShardedCluster::with_config(&pool, net, &extreme.clone().sharded(2))
+            .unwrap()
+            .run(&requests);
+        for report in [flat, sharded] {
+            let report = report.expect("the train fits the clock");
+            let latencies: Vec<u128> = report
+                .per_session
+                .iter()
+                .map(|r| u128::from(r.reception_latency))
+                .collect();
+            assert_eq!(latencies.len(), requests.len());
+            let sum: u128 = latencies.iter().sum();
+            assert!(
+                sum > u128::from(u64::MAX),
+                "the run must exercise the overflow"
+            );
+            let exact = sum as f64 / latencies.len() as f64;
+            assert_eq!(report.total.mean_reception_latency, exact);
+        }
     }
 
     #[test]

@@ -21,7 +21,9 @@ const BUCKETS: usize = (SUBBUCKETS + (64 - 6) * SUBBUCKETS) as usize;
 pub struct LogHistogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: u64,
+    /// Exact sum; 128 bits, because even two samples near `u64::MAX`
+    /// overflow a 64-bit sum.
+    sum: u128,
     min: u64,
     max: u64,
 }
@@ -69,7 +71,7 @@ impl LogHistogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::index(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum += u128::from(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -91,7 +93,7 @@ impl LogHistogram {
     }
 
     /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
+    pub fn sum(&self) -> u128 {
         self.sum
     }
 
@@ -158,7 +160,7 @@ mod tests {
         assert_eq!(h.percentile(50), 31);
         assert_eq!(h.percentile(100), 63);
         assert_eq!(h.count(), 64);
-        assert_eq!(h.sum(), (0..64).sum::<u64>());
+        assert_eq!(h.sum(), (0..64).sum::<u128>());
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 63);
     }
