@@ -49,7 +49,7 @@ pub use table::{Cell, Table};
 /// its result tables.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// Experiment id ("E1" … "E9").
+    /// Experiment id ("E1" … "E14").
     pub id: &'static str,
     /// One-sentence summary of what was checked and what was observed.
     pub headline: String,
@@ -79,7 +79,7 @@ pub fn run_all(seed: u64) -> Vec<ExperimentReport> {
     scaling_samples.extend(dp_scaling);
     reports.push(ExperimentReport {
         id: "E2",
-        headline: "Greedy and DP running times recorded (see Criterion benches for statistics)"
+        headline: "Greedy and DP running times recorded (see perf_baseline's dp_build/greedy groups for statistics)"
             .to_string(),
         tables: vec![scaling::table(&scaling_samples)],
     });

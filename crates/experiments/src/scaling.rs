@@ -1,11 +1,10 @@
 //! Experiment E2 — running-time scaling of the algorithms.
 //!
 //! Lemma 1 claims the greedy algorithm runs in `O(n log n)`; Theorem 2
-//! claims the dynamic program runs in `O(n^{2k})`. Criterion benches
-//! (`bench_greedy_scaling`, `bench_dp_scaling`) measure this precisely; this
-//! module provides the same measurements with coarse wall-clock timers so
-//! the scaling table can be produced by a plain example binary without the
-//! benchmark harness.
+//! claims the dynamic program runs in `O(n^{2k})`. The `perf_baseline`
+//! binary's `greedy` and `dp_build` groups time this precisely; this module
+//! takes the same measurements with coarse wall-clock timers so the scaling
+//! table comes out of the experiment report itself.
 
 use crate::table::Table;
 use hnow_core::algorithms::dp::DpTable;
@@ -93,7 +92,7 @@ pub fn dp_scaling(sizes: &[usize], message_kib: u64) -> Vec<ScalingSample> {
 /// Renders scaling samples as a table.
 pub fn table(samples: &[ScalingSample]) -> Table {
     let mut t = Table::new(
-        "E2 / running-time scaling (coarse wall-clock; see Criterion benches for precise numbers)",
+        "E2 / running-time scaling (coarse wall-clock; see perf_baseline's dp_build/greedy groups for precise numbers)",
         &["algorithm", "n", "time (µs)", "normalised"],
     );
     for s in samples {

@@ -440,6 +440,16 @@ impl<'a> ShardedCluster<'a> {
         let policy = find_policy(policy_name).ok_or_else(|| SimError::UnknownPolicy {
             name: policy_name.to_string(),
         })?;
+        if let Some(loss) = self
+            .config
+            .loss
+            .as_ref()
+            .filter(|l| l.max_retry_delay().is_none())
+        {
+            return Err(SimError::RetryBackoffOverflow {
+                backoff: loss.backoff,
+            });
+        }
         let admission = control.is_some_and(|c| c.admission);
         let mut rebalancer = control
             .and_then(|c| c.rebalance.clone())

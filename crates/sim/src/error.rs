@@ -71,6 +71,12 @@ pub enum SimError {
         /// Id of the offending session.
         session: u64,
     },
+    /// A loss profile's retry backoff is so large that its longest retry
+    /// delay (65 × backoff) does not fit the clock.
+    RetryBackoffOverflow {
+        /// The configured backoff.
+        backoff: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -109,6 +115,10 @@ impl fmt::Display for SimError {
             SimError::TimeOverflow { session } => write!(
                 f,
                 "session {session}'s chunk train ends past the largest representable time"
+            ),
+            SimError::RetryBackoffOverflow { backoff } => write!(
+                f,
+                "retry backoff {backoff} makes the longest retry delay overflow the clock"
             ),
         }
     }

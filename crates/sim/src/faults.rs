@@ -67,7 +67,9 @@ pub struct LossProfile {
     /// the session completes partially (graceful degradation).
     pub max_retries: u32,
     /// Base retry backoff in time units; attempt `a` waits
-    /// `backoff << min(a − 1, 6)` plus keyed jitter in `[0, backoff]`.
+    /// `backoff << min(a − 1, 6)` plus keyed jitter in `[0, backoff]`. A run
+    /// rejects a backoff whose longest wait, 65 × backoff, overflows `u64`
+    /// ([`SimError::RetryBackoffOverflow`](crate::SimError::RetryBackoffOverflow)).
     pub backoff: u64,
     /// Optional recovery-liveness bound: once a receiver first detects a
     /// missed delivery, any repair attempt issued (or still queued on a
@@ -155,7 +157,7 @@ impl LossProfile {
     /// retries against one congested repairer spread out instead of
     /// re-colliding in lockstep.
     pub fn retry_delay(&self, session: u64, receiver: usize, attempt: u32) -> u64 {
-        let base = self.backoff << attempt.saturating_sub(1).min(6);
+        let base = self.backoff << attempt.saturating_sub(1).min(MAX_BACKOFF_SHIFT);
         let jitter = if self.backoff == 0 {
             0
         } else {
@@ -163,7 +165,17 @@ impl LossProfile {
         };
         base + jitter
     }
+
+    /// The longest delay [`retry_delay`](Self::retry_delay) can return,
+    /// `backoff << 6` plus the largest jitter, `backoff`; `None` when that
+    /// does not fit `u64`.
+    pub(crate) fn max_retry_delay(&self) -> Option<u64> {
+        self.backoff.checked_mul((1 << MAX_BACKOFF_SHIFT) + 1)
+    }
 }
+
+/// Retry attempts past the seventh stop doubling the backoff.
+const MAX_BACKOFF_SHIFT: u32 = 6;
 
 impl From<&LossyPattern> for LossProfile {
     /// Lifts a workload-level [`LossyPattern`]'s loss parameters into the
@@ -319,7 +331,17 @@ mod tests {
                 d >= expected && d <= expected + base,
                 "attempt {attempt}: {d}"
             );
+            assert!(d <= profile.max_retry_delay().unwrap());
         }
+        let edge = |backoff| LossProfile {
+            backoff,
+            ..profile.clone()
+        };
+        assert_eq!(
+            edge(u64::MAX / 65).max_retry_delay(),
+            Some(u64::MAX / 65 * 65)
+        );
+        assert_eq!(edge(u64::MAX / 65 + 1).max_retry_delay(), None);
         assert_eq!(
             profile.retry_delay(9, 3, 2),
             profile.retry_delay(9, 3, 2),

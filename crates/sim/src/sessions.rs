@@ -1252,6 +1252,33 @@ mod tests {
     }
 
     #[test]
+    fn hostile_retry_backoff_is_rejected_on_both_engines() {
+        // A retry waits up to 65 × backoff. At u64::MAX the jitter divisor
+        // wraps to zero; at 2^62 the shift drops bits and the retry clock
+        // overflows. Both entry points must refuse either backoff up front.
+        let pool = pool();
+        let net = NetParams::new(2);
+        let requests = spaced_requests(&pool, 4, 10);
+        for backoff in [u64::MAX, 1 << 62] {
+            let hostile = RunConfig::default().with_loss(LossProfile {
+                backoff,
+                ..LossProfile::iid(0.5, 7)
+            });
+            let flat = TrafficEngine::with_config(&pool, net, &hostile).run(&requests);
+            let sharded = ShardedCluster::with_config(&pool, net, &hostile.clone().sharded(2))
+                .unwrap()
+                .run(&requests);
+            for (engine, result) in [("flat", flat), ("sharded", sharded)] {
+                assert_eq!(
+                    result.map(|_| ()),
+                    Err(SimError::RetryBackoffOverflow { backoff }),
+                    "{engine}: backoff {backoff}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn extreme_chunk_intervals_aggregate_exact_means_on_both_engines() {
         // A 2-chunk train released every u64::MAX / 2 ticks ends within the
         // clock, but the latencies of four such sessions overflow a 64-bit

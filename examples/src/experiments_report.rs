@@ -1,4 +1,4 @@
-//! Runs the full experiment suite (E1–E9) and prints the markdown report
+//! Runs the full experiment suite (E1–E14) and prints the markdown report
 //! that forms the body of `EXPERIMENTS.md`.
 //!
 //! Run with `cargo run -p hnow-examples --bin experiments_report [seed]`.
