@@ -18,7 +18,7 @@
 //!    first send) carries band 0 and its injection rank, so at any instant
 //!    all newly arriving sessions open *before* every already-scheduled
 //!    event of that instant, in request order. Arrivals are still injected
-//!    lazily — a session enters the heap only once the clock reaches it —
+//!    lazily — a session enters the queue only once the clock reaches it —
 //!    but the band makes lazy injection observationally identical to
 //!    pre-loading every arrival up front.
 //! 2. **Band 1 — scheduled events.** Everything else of the planned
@@ -48,6 +48,33 @@
 //! The rule is pinned by an executable specification: the pre-unification
 //! flat loop survives as a `#[cfg(test)]` reference in `sessions.rs`, and a
 //! property test replays random contended traffic through both.
+//!
+//! # The event queue
+//!
+//! The rule is realised without comparing keys. Events due at the current
+//! instant wait in three FIFOs, one per band, and a pop drains band 0, then
+//! band 1, then band 2. Later events sit in 64 radix buckets: an event's
+//! bucket is the highest bit in which its time differs from the current
+//! instant, so every event in a lower bucket is earlier than every event in
+//! a higher one. When the FIFOs run dry, the lowest non-empty bucket is
+//! redistributed around its earliest time, which becomes the new instant.
+//! Its events share every bit above the bucket's, so each moves to a lower
+//! bucket or to a FIFO; an event moves down at most 64 times.
+//!
+//! FIFO order is `seq` order. Bands 1 and 2 number their events from one
+//! counter in push order, and band 0 by injection rank, so within one band
+//! push order is `seq` order. Events of equal time always share a bucket,
+//! buckets only append and redistribution is stable, so the events of an
+//! instant reach their FIFOs in push order, and pushes at the current
+//! instant append behind them.
+//!
+//! The queue is **monotone**: no push may land before the instant being
+//! executed. Every push in the loop lands at `t`, `t + dur`,
+//! `end + latency`, `t + delay` or `max(t, release)` after an event at `t`;
+//! carried horizons are pushed before the first pop, and arrivals only once
+//! due. A `debug_assert!` checks the precondition. Times that wrap past
+//! `Time::MAX` in a release build break it; the queue then pops in a wrong
+//! but finite order and still drops no event.
 //!
 //! # Loss and repair
 //!
@@ -106,8 +133,7 @@ use crate::faults::LossProfile;
 use crate::sessions::SessionRuntime;
 use hnow_model::{NetParams, NodeSpec, Time};
 use hnow_telemetry::{Recorder, TraceEvent, TraceEventKind as Kind};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A discrete event of the occupancy simulation. "Claim" events ([`Send`],
 /// [`Recv`], [`RepairSend`]) ask for node time and park in the node's FIFO
@@ -116,7 +142,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// [`Send`]: KernelEvent::Send
 /// [`Recv`]: KernelEvent::Recv
 /// [`RepairSend`]: KernelEvent::RepairSend
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelEvent {
     /// The session's tree node `local` wants to start its `child`-th send
     /// of chunk `chunk`.
@@ -172,10 +198,88 @@ impl KernelEvent {
     }
 }
 
-/// Heap entry: `(time, band, seq, session slot, event)`. Only the first
-/// three fields ever decide an ordering — `seq` is unique within a band —
-/// but the trailing fields must still be `Ord` for the tuple.
-type HeapItem = Reverse<(Time, u8, u64, usize, KernelEvent)>;
+/// A queued event: `(time, band, seq, session slot, event)`. The first
+/// three fields are its execution order; `seq` is unique within a band.
+type Entry = (Time, u8, u64, usize, KernelEvent);
+
+/// The kernel's monotone radix event queue (see the module docs): pops
+/// entries in ascending `(time, band, seq)` order as long as no entry is
+/// pushed before the instant last popped.
+struct RadixQueue {
+    /// The current instant: the time of the last popped entry.
+    now: Time,
+    /// Entries due at `now`, one FIFO per band.
+    due: [VecDeque<Entry>; 3],
+    /// Later entries: bucket `b` holds those whose time first differs from
+    /// `now` in bit `b`.
+    buckets: [Vec<Entry>; 64],
+    /// Earliest time in each bucket (`Time::MAX` when empty).
+    mins: [Time; 64],
+    /// Bit `b` is set when bucket `b` is non-empty.
+    occupied: u64,
+}
+
+impl RadixQueue {
+    /// An empty queue at instant zero; allocates nothing until pushed to.
+    fn new() -> Self {
+        RadixQueue {
+            now: Time::ZERO,
+            due: Default::default(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [Time::MAX; 64],
+            occupied: 0,
+        }
+    }
+
+    fn push(&mut self, entry: Entry) {
+        let time = entry.0;
+        debug_assert!(
+            time >= self.now,
+            "event at {time} pushed behind the current instant {}",
+            self.now
+        );
+        if time == self.now {
+            self.due[usize::from(entry.1)].push_back(entry);
+        } else {
+            let bucket = 63 - (time.raw() ^ self.now.raw()).leading_zeros() as usize;
+            self.mins[bucket] = self.mins[bucket].min(time);
+            self.occupied |= 1 << bucket;
+            self.buckets[bucket].push(entry);
+        }
+    }
+
+    /// Time of the entry the next [`Self::pop`] returns.
+    fn min_time(&self) -> Option<Time> {
+        if self.due.iter().any(|fifo| !fifo.is_empty()) {
+            Some(self.now)
+        } else if self.occupied != 0 {
+            Some(self.mins[self.occupied.trailing_zeros() as usize])
+        } else {
+            None
+        }
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        loop {
+            if let Some(entry) = self.due.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(entry);
+            }
+            if self.occupied == 0 {
+                return None;
+            }
+            // Advance to the lowest bucket's earliest time; redistributing
+            // the bucket puts at least that entry into a FIFO.
+            let lowest = self.occupied.trailing_zeros() as usize;
+            self.now = std::mem::replace(&mut self.mins[lowest], Time::MAX);
+            self.occupied &= !(1 << lowest);
+            let mut entries = std::mem::take(&mut self.buckets[lowest]);
+            for entry in entries.drain(..) {
+                self.push(entry);
+            }
+            self.buckets[lowest] = entries;
+        }
+    }
+}
 
 /// Fault-injection context of one kernel run: the loss profile plus the
 /// receiver-class table for per-class rate overrides (indexed by the same
@@ -198,55 +302,59 @@ fn fault_id(session_id: u64, chunk: u32) -> u64 {
     }
 }
 
-/// Per-receiver repair progress.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RepairStatus {
+/// Repair progress of one `(chunk, node)` slot.
+#[derive(Clone, Copy)]
+enum RepairSlot {
     /// Reception not yet completed (the initial state of every non-source
-    /// node).
-    Pending,
+    /// node), with the instant the node first learned it missed a delivery.
+    Pending(Option<Time>),
     /// Reception completed; the node can serve as a repairer.
     Reached,
     /// Retries exhausted; the node is given up on.
     Failed,
 }
 
-/// Per-session repair bookkeeping, allocated only for faulted runs. Every
-/// vector is indexed per `(chunk, node)` via [`Self::idx`] — each chunk of
-/// a streaming session runs its own independent repair state over the same
-/// tree, so a late repair degrades only that chunk.
+/// Per-session repair bookkeeping, allocated only for faulted runs. Each
+/// chunk of a streaming session runs its own independent repair state over
+/// the same tree, so a late repair degrades only that chunk.
 struct RepairState {
     /// Tree size: the stride of the `(chunk, node)` index.
     nodes: usize,
-    status: Vec<RepairStatus>,
-    /// When each `(chunk, node)` first learned it missed a delivery
-    /// (`Time::ZERO` + `missed == false` means never).
-    first_missed: Vec<Time>,
-    missed: Vec<bool>,
-    /// Repair requests parked on a not-yet-reached repairer, keyed by the
-    /// repairer's `(chunk, tree-local)` index.
-    parked: Vec<Vec<(usize, u32)>>,
+    /// One record per `(chunk, node)`, indexed by [`Self::idx`].
+    slots: Vec<RepairSlot>,
+    /// Repair requests parked on a repairer not yet reached, as
+    /// `(repairer's slot index, requesting node, attempt)` in park order.
+    parked: Vec<(usize, usize, u32)>,
 }
 
 impl RepairState {
     fn new(nodes: usize, chunks: u32) -> Self {
-        let slots = nodes * chunks as usize;
-        let mut status = vec![RepairStatus::Pending; slots];
+        let mut slots = vec![RepairSlot::Pending(None); nodes * chunks as usize];
         for chunk in 0..chunks as usize {
             // The source holds every chunk from its release.
-            status[chunk * nodes] = RepairStatus::Reached;
+            slots[chunk * nodes] = RepairSlot::Reached;
         }
         RepairState {
             nodes,
-            status,
-            first_missed: vec![Time::ZERO; slots],
-            missed: vec![false; slots],
-            parked: vec![Vec::new(); slots],
+            slots,
+            parked: Vec::new(),
         }
     }
 
     /// Dense `(chunk, node)` index.
     fn idx(&self, chunk: u32, local: usize) -> usize {
         chunk as usize * self.nodes + local
+    }
+
+    /// Removes the requests parked on slot `at` and hands each to `replay`
+    /// as `(requesting node, attempt)`, in park order.
+    fn unpark(&mut self, at: usize, mut replay: impl FnMut(usize, u32)) {
+        self.parked.retain(|&(slot, local, attempt)| {
+            slot != at || {
+                replay(local, attempt);
+                false
+            }
+        });
     }
 }
 
@@ -340,7 +448,7 @@ fn run(
     let mut busy_until = busy0.to_vec();
     let mut busy_time = vec![0u64; n];
     let mut waiting: Vec<VecDeque<(usize, KernelEvent)>> = vec![VecDeque::new(); n];
-    let mut heap: BinaryHeap<HeapItem> = BinaryHeap::new();
+    let mut queue = RadixQueue::new();
     let mut seq = 0u64;
     let mut repair: Vec<RepairState> = match faults {
         Some(_) => sessions
@@ -366,7 +474,7 @@ fn run(
     macro_rules! push {
         ($time:expr, $slot:expr, $event:expr) => {{
             let event = $event;
-            heap.push(Reverse(($time, event.band(), seq, $slot, event)));
+            queue.push(($time, event.band(), seq, $slot, event));
             seq += 1;
         }};
     }
@@ -388,7 +496,7 @@ fn run(
     macro_rules! give_up {
         ($state:expr, $session:expr, $slot:expr, $local:expr, $chunk:expr, $t:expr) => {{
             let at = $state.idx($chunk, $local);
-            $state.status[at] = RepairStatus::Failed;
+            $state.slots[at] = RepairSlot::Failed;
             $session.pending -= 1;
             $session.failed_members += 1;
             trace_ev!(TraceEvent::new($t.raw(), Kind::Abandon, $session.id)
@@ -407,7 +515,7 @@ fn run(
                     }
                 );
             }
-            for (target, attempt) in std::mem::take(&mut $state.parked[at]) {
+            $state.unpark(at, |target, attempt| {
                 push!(
                     $t,
                     $slot,
@@ -416,8 +524,8 @@ fn run(
                         attempt,
                         chunk: $chunk,
                     }
-                );
-            }
+                )
+            });
             if $session.chunks > 1 {
                 let c = $chunk as usize;
                 $session.chunk_pending[c] -= 1;
@@ -466,11 +574,7 @@ fn run(
         while next_inject < order.len() {
             let slot = order[next_inject];
             let arrival = sessions[slot].arrival;
-            let due = match heap.peek() {
-                Some(Reverse((t, ..))) => arrival <= *t,
-                None => true,
-            };
-            if !due {
+            if queue.min_time().is_some_and(|t| arrival > t) {
                 break;
             }
             if !sessions[slot].children[0].is_empty() {
@@ -479,9 +583,9 @@ fn run(
                         .node(sessions[slot].node_map[0])
                         .seq(next_inject as u64)
                 );
-                heap.push(Reverse((
+                queue.push((
                     arrival,
-                    0u8,
+                    0,
                     next_inject as u64,
                     slot,
                     KernelEvent::Send {
@@ -489,11 +593,11 @@ fn run(
                         child: 0,
                         chunk: 0,
                     },
-                )));
+                ));
             }
             next_inject += 1;
         }
-        let Some(Reverse((t, _, eseq, slot, event))) = heap.pop() else {
+        let Some((t, _, eseq, slot, event)) = queue.pop() else {
             break;
         };
 
@@ -517,7 +621,7 @@ fn run(
         // A popped claim always belongs to a live session: a session can
         // only abandon at its first-ever claim (`started` is still `None`),
         // and until that claim executes it is the session's *only* event —
-        // nothing else of the session is in the heap or parked, and the
+        // nothing else of the session is queued or parked, and the
         // abandon path schedules nothing. So no event of an abandoned
         // session can surface here. Checked rather than silently skipped:
         // were this reachable, a popped claim on a free node would have to
@@ -692,15 +796,15 @@ fn run(
                 if !repair.is_empty() {
                     let state = &mut repair[slot];
                     let at = state.idx(chunk, local);
-                    state.status[at] = RepairStatus::Reached;
-                    if state.missed[at] {
+                    if let RepairSlot::Pending(Some(first_missed)) = state.slots[at] {
                         session
                             .repair_delays
-                            .push(end.saturating_sub(state.first_missed[at]).raw());
+                            .push(end.saturating_sub(first_missed).raw());
                     }
+                    state.slots[at] = RepairSlot::Reached;
                     // The node holds the chunk now: replay every repair
                     // request that was waiting for it.
-                    for (target, attempt) in std::mem::take(&mut state.parked[at]) {
+                    state.unpark(at, |target, attempt| {
                         push!(
                             end,
                             slot,
@@ -709,8 +813,8 @@ fn run(
                                 attempt,
                                 chunk,
                             }
-                        );
-                    }
+                        )
+                    });
                 }
                 if session.chunks > 1 {
                     let c = chunk as usize;
@@ -766,17 +870,14 @@ fn run(
                 let ctx = faults.expect("repair events only exist in faulted runs");
                 let state = &mut repair[slot];
                 let at = state.idx(chunk, local);
-                if state.status[at] != RepairStatus::Pending {
+                let RepairSlot::Pending(missed) = &mut state.slots[at] else {
                     continue;
-                }
-                if !state.missed[at] {
-                    state.missed[at] = true;
-                    state.first_missed[at] = t;
-                }
+                };
+                let first_missed = *missed.get_or_insert(t);
                 let expired = ctx
                     .profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > state.first_missed[at].raw().saturating_add(d));
+                    .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d));
                 if attempt > ctx.profile.max_retries || expired {
                     // Retries exhausted or recovery-liveness bound blown:
                     // the session completes partially.
@@ -810,24 +911,25 @@ fn run(
                 let ctx = faults.expect("repair events only exist in faulted runs");
                 let state = &mut repair[slot];
                 let at = state.idx(chunk, local);
-                if state.status[at] != RepairStatus::Pending {
+                let RepairSlot::Pending(missed) = state.slots[at] else {
                     continue;
-                }
+                };
+                let first_missed = missed.expect("set by the NACK that scheduled this repair");
                 // Resolve the repairer, escalating past failed ones; every
                 // placement walks strictly upstream and the source is
                 // always `Reached` (it holds every chunk from release), so
                 // this terminates.
                 let repairer_of = |v: usize| session.repairer.as_ref().map_or(0, |table| table[v]);
                 let mut rp = repairer_of(local);
-                while state.status[state.idx(chunk, rp)] == RepairStatus::Failed {
+                while matches!(state.slots[state.idx(chunk, rp)], RepairSlot::Failed) {
                     rp = repairer_of(rp);
                 }
-                if state.status[state.idx(chunk, rp)] == RepairStatus::Pending {
+                let park = state.idx(chunk, rp);
+                if matches!(state.slots[park], RepairSlot::Pending(_)) {
                     // The repairer has not been served this chunk yet
                     // itself; park the request — its reception (or
                     // failure) replays it.
-                    let park = state.idx(chunk, rp);
-                    state.parked[park].push((local, attempt));
+                    state.parked.push((park, local, attempt));
                     continue;
                 }
                 let node = session.node_map[rp];
@@ -849,7 +951,7 @@ fn run(
                 if ctx
                     .profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > state.first_missed[at].raw().saturating_add(d))
+                    .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d))
                 {
                     give_up!(state, session, slot, local, chunk, t);
                     if let Some((waiter, parked)) = waiting[node].pop_front() {
@@ -912,5 +1014,90 @@ fn run(
     CarryOut {
         busy_time,
         busy_until,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Ticks from `now` to the next push: zero (the current instant) a
+    /// third of the time, otherwise 1 tick to past 2⁶³, mostly short,
+    /// capped so the time stays representable.
+    fn gap(rng: &mut StdRng, now: u64) -> u64 {
+        if rng.gen_range(0..3) == 0 {
+            return 0;
+        }
+        let bits: u32 = match rng.gen_range(0..10) {
+            0..=5 => rng.gen_range(1..=8),
+            6..=8 => rng.gen_range(9..=32),
+            _ => rng.gen_range(33..=64),
+        };
+        let gap = rng.next_u64() >> (64 - bits) | 1 << (bits - 1);
+        gap.min(u64::MAX - now)
+    }
+
+    #[test]
+    fn radix_queue_pops_in_binary_heap_order() {
+        for seed in 1..=4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Even seeds start near the top of the time range.
+            let start = if seed % 2 == 0 {
+                u64::MAX - (1 << 20)
+            } else {
+                0
+            };
+            let mut queue = RadixQueue::new();
+            let mut heap = BinaryHeap::new();
+            let (mut now, mut seq, mut rank) = (start, 0u64, 0u64);
+            let (mut pops, mut peeks) = (0, 0);
+            for _ in 0..120_000 {
+                match rng.gen_range(0..20) {
+                    0..=8 => {
+                        let band = rng.gen_range(0..3u8);
+                        // Band 0 numbers its pushes from a counter of its
+                        // own, as the kernel numbers openings by rank.
+                        let counter = if band == 0 { &mut rank } else { &mut seq };
+                        *counter += 1;
+                        let time = Time::new(now + gap(&mut rng, now));
+                        let event = KernelEvent::Free { node: 0 };
+                        queue.push((time, band, *counter, 0, event));
+                        heap.push(Reverse((time, band, *counter)));
+                    }
+                    9 => {
+                        let peek = heap.peek().map(|&Reverse((time, ..))| time);
+                        assert_eq!(queue.min_time(), peek, "seed {seed}");
+                        peeks += 1;
+                    }
+                    _ => {
+                        let popped = queue.pop().map(|(time, band, seq, ..)| (time, band, seq));
+                        assert_eq!(popped, heap.pop().map(|Reverse(key)| key), "seed {seed}");
+                        match popped {
+                            Some((time, ..)) => {
+                                now = time.raw();
+                                pops += 1;
+                            }
+                            // Drained near the top of the range: start a
+                            // fresh queue, as the next kernel run would.
+                            None if now > u64::MAX - (1 << 24) => {
+                                queue = RadixQueue::new();
+                                now = start;
+                            }
+                            None => {}
+                        }
+                    }
+                }
+            }
+            while let Some(Reverse(key)) = heap.pop() {
+                let popped = queue.pop().map(|(time, band, seq, ..)| (time, band, seq));
+                assert_eq!(popped, Some(key), "seed {seed}");
+            }
+            assert!(queue.pop().is_none());
+            assert!(pops > 40_000 && peeks > 4_000, "seed {seed}: {pops} pops");
+        }
     }
 }
