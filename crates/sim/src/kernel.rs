@@ -350,10 +350,11 @@ impl RepairState {
     /// as `(requesting node, attempt)`, in park order.
     fn unpark(&mut self, at: usize, mut replay: impl FnMut(usize, u32)) {
         self.parked.retain(|&(slot, local, attempt)| {
-            slot != at || {
-                replay(local, attempt);
-                false
+            if slot != at {
+                return true;
             }
+            replay(local, attempt);
+            false
         });
     }
 }
