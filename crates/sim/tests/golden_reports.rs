@@ -162,16 +162,12 @@ fn report(config: &RunConfig, entry: &Entry) -> String {
     serde_json::to_string_pretty(&report).unwrap()
 }
 
-fn golden_path(file: &str) -> PathBuf {
-    [env!("CARGO_MANIFEST_DIR"), "tests", "golden", file]
-        .iter()
-        .collect()
-}
-
 /// Compares `text` with `tests/golden/<file>`, or rewrites the file when
 /// `UPDATE_GOLDEN=1`.
 fn compare(file: &str, text: &str) {
-    let path = golden_path(file);
+    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", file]
+        .iter()
+        .collect();
     if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, text).unwrap();
