@@ -12,8 +12,8 @@ use std::sync::Mutex;
 /// crate's stability surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceEventKind {
-    /// A session's first chunk entered the event heap (band 0, injection
-    /// rank as sequence number).
+    /// A session's first chunk entered the kernel's event queue (band 0,
+    /// injection rank as sequence number).
     SessionOpen,
     /// A sender port went busy transmitting one chunk to one child;
     /// [`TraceEvent::dur`] is the occupancy length.
@@ -26,7 +26,7 @@ pub enum TraceEventKind {
     /// A claim found its node busy and joined that node's FIFO park queue.
     Park,
     /// A parked claim was popped (node freed, or passed on by an
-    /// abandoning claim) and re-entered the heap.
+    /// abandoning claim) and re-entered the event queue.
     Wake,
     /// A receiver missed a chunk and scheduled a NACK to its repairer.
     Nack,
@@ -98,12 +98,12 @@ pub struct TraceEvent {
     pub node: Option<usize>,
     /// Shard owning [`TraceEvent::node`], when a shard map is attached.
     pub shard: Option<usize>,
-    /// Scheduling band of the heap item that produced the event
+    /// Scheduling band of the kernel queue entry that produced the event
     /// (0 = session opening, 1 = planned traffic, 2 = NACK/repair).
     pub band: u8,
     /// Chunk index within the session's train (0 for atomic sessions).
     pub chunk: u32,
-    /// Heap sequence number of the item that produced the event.
+    /// Sequence number of the kernel queue entry that produced the event.
     pub seq: u64,
     /// Port occupancy length for occupancy kinds, 0 otherwise.
     pub dur: u64,
@@ -145,7 +145,7 @@ impl TraceEvent {
         self
     }
 
-    /// Stamps the heap sequence number.
+    /// Stamps the queue sequence number.
     pub fn seq(mut self, seq: u64) -> Self {
         self.seq = seq;
         self
