@@ -61,6 +61,16 @@
 //! Its events share every bit above the bucket's, so each moves to a lower
 //! bucket or to a FIFO; an event moves down at most 64 times.
 //!
+//! The FIFOs and buckets are linked lists threaded through one slab of
+//! entries: a push takes a free slot or appends one, redistribution
+//! relinks slots without moving entries, and a pop frees its slot. The
+//! queue's memory is therefore one vector as long as the queue has ever
+//! been, grown by doubling as a binary heap's is. Separate vectors per
+//! bucket would each grow on their own in the middle of a run, and their
+//! scattered reallocations changed from pass to pass how much of a large
+//! run's heap the allocator handed back to the system and faulted in
+//! again.
+//!
 //! FIFO order is `seq` order. Bands 1 and 2 number their events from one
 //! counter in push order, and band 0 by injection rank, so within one band
 //! push order is `seq` order. Events of equal time always share a bucket,
@@ -202,17 +212,40 @@ impl KernelEvent {
 /// three fields are its execution order; `seq` is unique within a band.
 type Entry = (Time, u8, u64, usize, KernelEvent);
 
+/// The end of a [`List`].
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of slab slots, linked through each slot's successor.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// The kernel's monotone radix event queue (see the module docs): pops
 /// entries in ascending `(time, band, seq)` order as long as no entry is
-/// pushed before the instant last popped.
+/// pushed before the instant last popped. Every entry sits in one slab and
+/// the FIFOs and buckets are lists threaded through it, so the queue's
+/// memory is one buffer as long as the queue ever was.
 struct RadixQueue {
     /// The current instant: the time of the last popped entry.
     now: Time,
+    /// Queued entries, each with the slot of its successor in its list.
+    slab: Vec<(Entry, u32)>,
+    /// Slots of popped entries, reused before the slab grows.
+    free: u32,
     /// Entries due at `now`, one FIFO per band.
-    due: [VecDeque<Entry>; 3],
+    due: [List; 3],
     /// Later entries: bucket `b` holds those whose time first differs from
     /// `now` in bit `b`.
-    buckets: [Vec<Entry>; 64],
+    buckets: [List; 64],
     /// Earliest time in each bucket (`Time::MAX` when empty).
     mins: [Time; 64],
     /// Bit `b` is set when bucket `b` is non-empty.
@@ -224,33 +257,61 @@ impl RadixQueue {
     fn new() -> Self {
         RadixQueue {
             now: Time::ZERO,
-            due: Default::default(),
-            buckets: std::array::from_fn(|_| Vec::new()),
+            slab: Vec::new(),
+            free: NIL,
+            due: [List::EMPTY; 3],
+            buckets: [List::EMPTY; 64],
             mins: [Time::MAX; 64],
             occupied: 0,
         }
     }
 
     fn push(&mut self, entry: Entry) {
-        let time = entry.0;
+        let slot = match self.free {
+            NIL => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&slot| slot != NIL)
+                    .expect("fewer than 2^32 - 1 events are queued");
+                self.slab.push((entry, NIL));
+                slot
+            }
+            slot => {
+                self.free = self.slab[slot as usize].1;
+                self.slab[slot as usize].0 = entry;
+                slot
+            }
+        };
+        self.file(slot);
+    }
+
+    /// Appends the entry in `slot` to the FIFO or bucket its time selects.
+    fn file(&mut self, slot: u32) {
+        let (time, band, ..) = self.slab[slot as usize].0;
         debug_assert!(
             time >= self.now,
             "event at {time} pushed behind the current instant {}",
             self.now
         );
-        if time == self.now {
-            self.due[usize::from(entry.1)].push_back(entry);
+        let list = if time == self.now {
+            &mut self.due[usize::from(band)]
         } else {
             let bucket = 63 - (time.raw() ^ self.now.raw()).leading_zeros() as usize;
             self.mins[bucket] = self.mins[bucket].min(time);
             self.occupied |= 1 << bucket;
-            self.buckets[bucket].push(entry);
+            &mut self.buckets[bucket]
+        };
+        self.slab[slot as usize].1 = NIL;
+        match list.tail {
+            NIL => list.head = slot,
+            tail => self.slab[tail as usize].1 = slot,
         }
+        list.tail = slot;
     }
 
     /// Time of the entry the next [`Self::pop`] returns.
     fn min_time(&self) -> Option<Time> {
-        if self.due.iter().any(|fifo| !fifo.is_empty()) {
+        if self.due.iter().any(|fifo| fifo.head != NIL) {
             Some(self.now)
         } else if self.occupied != 0 {
             Some(self.mins[self.occupied.trailing_zeros() as usize])
@@ -261,7 +322,15 @@ impl RadixQueue {
 
     fn pop(&mut self) -> Option<Entry> {
         loop {
-            if let Some(entry) = self.due.iter_mut().find_map(VecDeque::pop_front) {
+            if let Some(fifo) = self.due.iter_mut().find(|fifo| fifo.head != NIL) {
+                let slot = fifo.head;
+                let (entry, next) = self.slab[slot as usize];
+                fifo.head = next;
+                if next == NIL {
+                    fifo.tail = NIL;
+                }
+                self.slab[slot as usize].1 = self.free;
+                self.free = slot;
                 return Some(entry);
             }
             if self.occupied == 0 {
@@ -272,11 +341,12 @@ impl RadixQueue {
             let lowest = self.occupied.trailing_zeros() as usize;
             self.now = std::mem::replace(&mut self.mins[lowest], Time::MAX);
             self.occupied &= !(1 << lowest);
-            let mut entries = std::mem::take(&mut self.buckets[lowest]);
-            for entry in entries.drain(..) {
-                self.push(entry);
+            let mut slot = std::mem::replace(&mut self.buckets[lowest], List::EMPTY).head;
+            while slot != NIL {
+                let next = self.slab[slot as usize].1;
+                self.file(slot);
+                slot = next;
             }
-            self.buckets[lowest] = entries;
         }
     }
 }
