@@ -213,13 +213,13 @@ impl KernelEvent {
 type Entry = (Time, u8, u64, usize, KernelEvent);
 
 /// The end of a [`List`].
-const NIL: u32 = u32::MAX;
+const NIL: usize = usize::MAX;
 
 /// A FIFO of slab slots, linked through each slot's successor.
 #[derive(Clone, Copy)]
 struct List {
-    head: u32,
-    tail: u32,
+    head: usize,
+    tail: usize,
 }
 
 impl List {
@@ -238,9 +238,9 @@ struct RadixQueue {
     /// The current instant: the time of the last popped entry.
     now: Time,
     /// Queued entries, each with the slot of its successor in its list.
-    slab: Vec<(Entry, u32)>,
+    slab: Vec<(Entry, usize)>,
     /// Slots of popped entries, reused before the slab grows.
-    free: u32,
+    free: usize,
     /// Entries due at `now`, one FIFO per band.
     due: [List; 3],
     /// Later entries: bucket `b` holds those whose time first differs from
@@ -269,16 +269,12 @@ impl RadixQueue {
     fn push(&mut self, entry: Entry) {
         let slot = match self.free {
             NIL => {
-                let slot = u32::try_from(self.slab.len())
-                    .ok()
-                    .filter(|&slot| slot != NIL)
-                    .expect("fewer than 2^32 - 1 events are queued");
                 self.slab.push((entry, NIL));
-                slot
+                self.slab.len() - 1
             }
             slot => {
-                self.free = self.slab[slot as usize].1;
-                self.slab[slot as usize].0 = entry;
+                self.free = self.slab[slot].1;
+                self.slab[slot].0 = entry;
                 slot
             }
         };
@@ -286,8 +282,8 @@ impl RadixQueue {
     }
 
     /// Appends the entry in `slot` to the FIFO or bucket its time selects.
-    fn file(&mut self, slot: u32) {
-        let (time, band, ..) = self.slab[slot as usize].0;
+    fn file(&mut self, slot: usize) {
+        let (time, band, ..) = self.slab[slot].0;
         debug_assert!(
             time >= self.now,
             "event at {time} pushed behind the current instant {}",
@@ -301,10 +297,10 @@ impl RadixQueue {
             self.occupied |= 1 << bucket;
             &mut self.buckets[bucket]
         };
-        self.slab[slot as usize].1 = NIL;
+        self.slab[slot].1 = NIL;
         match list.tail {
             NIL => list.head = slot,
-            tail => self.slab[tail as usize].1 = slot,
+            tail => self.slab[tail].1 = slot,
         }
         list.tail = slot;
     }
@@ -324,12 +320,12 @@ impl RadixQueue {
         loop {
             if let Some(fifo) = self.due.iter_mut().find(|fifo| fifo.head != NIL) {
                 let slot = fifo.head;
-                let (entry, next) = self.slab[slot as usize];
+                let (entry, next) = self.slab[slot];
                 fifo.head = next;
                 if next == NIL {
                     fifo.tail = NIL;
                 }
-                self.slab[slot as usize].1 = self.free;
+                self.slab[slot].1 = self.free;
                 self.free = slot;
                 return Some(entry);
             }
@@ -343,7 +339,7 @@ impl RadixQueue {
             self.occupied &= !(1 << lowest);
             let mut slot = std::mem::replace(&mut self.buckets[lowest], List::EMPTY).head;
             while slot != NIL {
-                let next = self.slab[slot as usize].1;
+                let next = self.slab[slot].1;
                 self.file(slot);
                 slot = next;
             }
