@@ -65,11 +65,11 @@
 //! entries: a push takes a free slot or appends one, redistribution
 //! relinks slots without moving entries, and a pop frees its slot. The
 //! queue's memory is therefore one vector as long as the queue has ever
-//! been, grown by doubling as a binary heap's is. Separate vectors per
-//! bucket would each grow on their own in the middle of a run, and their
-//! scattered reallocations changed from pass to pass how much of a large
-//! run's heap the allocator handed back to the system and faulted in
-//! again.
+//! been, grown by doubling as a binary heap's is. That keeps the
+//! allocator steady: vectors per bucket, each growing on its own in the
+//! middle of a run, varied from one run to the next how much of a large
+//! workload's heap the allocator handed back to the system and then had
+//! to fault in again.
 //!
 //! FIFO order is `seq` order. Bands 1 and 2 number their events from one
 //! counter in push order, and band 0 by injection rank, so within one band
@@ -239,7 +239,8 @@ struct RadixQueue {
     now: Time,
     /// Queued entries, each with the slot of its successor in its list.
     slab: Vec<(Entry, usize)>,
-    /// Slots of popped entries, reused before the slab grows.
+    /// First slot of the stack of popped slots, linked through the same
+    /// successor field and reused before the slab grows.
     free: usize,
     /// Entries due at `now`, one FIFO per band.
     due: [List; 3],
