@@ -33,21 +33,49 @@
 //! expensive), so [`DpTable::build`] runs an allocation-free kernel instead
 //! of the straightforward recurrence transcription:
 //!
+//! * **One scan per state for every source type.** Taking `S(s)` out of
+//!   both arms of the recurrence gives, with `avail` the counts less one
+//!   node of type `ℓ`,
+//!
+//!   ```text
+//!   τ(s, i) = S(s) + min over (ℓ, y) of max( τ(ℓ, y) + L + R(ℓ), τ(s, avail − y) )
+//!   ```
+//!
+//!   The candidate splits `(ℓ, y)` do not depend on `s`, so the kernel walks
+//!   them once per state and scores each split for every source type. For
+//!   each `s` it keeps the first split that reaches the minimum, in the
+//!   order the per-source recurrence scans them (ascending `ℓ`, then
+//!   ascending packed `y`), so values and choices are those of
+//!   [`DpTable::build_reference`].
 //! * **Linear mixed-radix indexing.** Count vectors are packed into a mixed
 //!   radix integer. Because the subtracted vector of the recurrence satisfies
 //!   `y ≤ avail` componentwise, the subtraction has no borrows, so
 //!   `idx(avail − y) = idx(avail) − idx(y)` — the whole y-enumeration is pure
-//!   index arithmetic with zero per-iteration heap traffic.
+//!   index arithmetic with zero per-iteration heap traffic. The digit `y_0`
+//!   has stride 1, so for fixed higher digits the subtree values
+//!   `τ(ℓ, y)` form one ascending contiguous run and each source type's
+//!   remainders `τ(s, avail − y)` one descending run; the kernel scans them
+//!   as slices.
 //! * **Shell decomposition.** Every dependency of a state has a strictly
 //!   smaller total destination count, so grouping states into "shells" of
-//!   equal total (by counting sort over a precomputed total array, replacing
-//!   a comparison sort that allocated a digit vector per state) yields a
+//!   equal total (by counting sort over a precomputed total array) yields a
 //!   correct parallel wavefront: states within one shell are independent and
 //!   are filled with rayon, shell by shell. Small tables keep the purely
 //!   sequential path.
+//! * **Widening.** A state's value and first-minimum choice depend only on
+//!   its count vector `c`: its candidate splits are the vectors below `c`,
+//!   and the scan order above never mentions the table's dimensions. A
+//!   state's dependencies also lie below `c`. So a table over wider
+//!   dimensions agrees with a narrower one on every state the narrower box
+//!   covers. [`DpCache`](crate::planner::DpCache) uses this to widen an
+//!   outgrown table: every state of the old table is copied, each choice's
+//!   packed `y` is re-packed into the new strides, and only the states
+//!   outside the old box are filled. A fresh build is the widening of an
+//!   empty box, so both run the one fill path.
 //!
 //! The pre-kernel transcription survives as [`DpTable::build_reference`], an
-//! executable specification used by the differential proptests and benches.
+//! executable specification that the differential tests compare the kernel
+//! with.
 
 use crate::error::CoreError;
 use crate::schedule::tree::ScheduleTree;
@@ -124,20 +152,48 @@ impl DpTable {
     }
 
     /// [`DpTable::build`] with an explicit fill-scheduling mode. Exposed so
-    /// benchmarks can compare the sequential and shell-parallel paths; the
-    /// resulting tables are identical in every mode.
+    /// the `perf_baseline` grid and the differential tests can compare the
+    /// sequential and shell-parallel paths; the resulting tables are
+    /// identical in every mode.
     pub fn build_with_mode(typed: &TypedMulticast, net: NetParams, mode: DpFillMode) -> DpTable {
+        DpTable::widen(None, typed, net, mode)
+    }
+
+    /// Builds the table for `typed` by widening `from`: every state of
+    /// `from` is copied, each choice's packed `y` re-packed into the new
+    /// strides, and only the states outside `from`'s dimensions are filled.
+    /// The result equals [`DpTable::build_with_mode`] of `typed` in every
+    /// value and choice (see the module docs); with no table to widen, it is
+    /// that build.
+    ///
+    /// # Panics
+    ///
+    /// If `from` differs from `typed` in class overheads or network, or has
+    /// a dimension larger than `typed`'s counts.
+    pub(crate) fn widen(
+        from: Option<&DpTable>,
+        typed: &TypedMulticast,
+        net: NetParams,
+        mode: DpFillMode,
+    ) -> DpTable {
         let mut table = DpTable::empty(typed, net);
-        table.fill(mode);
+        if let Some(from) = from {
+            assert!(
+                from.typed.specs() == typed.specs() && from.net == net && table.covers(&from.dims),
+                "a table widens only to covering dimensions over its own classes and network"
+            );
+            table.copy_states(from);
+        }
+        table.fill(mode, from.map(DpTable::dims));
         table
     }
 
     /// Builds the table with the straightforward recurrence transcription
     /// that predates the kernel: comparison-sorted state order and
-    /// per-iteration digit vectors. Kept as an executable specification — the
-    /// differential proptests assert the kernel reproduces its values and
-    /// choices exactly — and as the baseline in the fill-mode benchmarks. Use
-    /// [`DpTable::build`] everywhere else; this is *much* slower.
+    /// per-iteration digit vectors. Kept as an executable specification: the
+    /// differential tests assert the kernel reproduces its values and
+    /// choices exactly. Use [`DpTable::build`] everywhere else; this is
+    /// *much* slower.
     pub fn build_reference(typed: &TypedMulticast, net: NetParams) -> DpTable {
         let mut table = DpTable::empty(typed, net);
         table.fill_reference();
@@ -197,22 +253,63 @@ impl DpTable {
         source * self.count_states + count_idx
     }
 
-    fn fill(&mut self, mode: DpFillMode) {
+    /// Copies every state of `from`, whose dimensions this table covers,
+    /// re-packing each count index, and each choice's subtree index, into
+    /// this table's strides.
+    fn copy_states(&mut self, from: &DpTable) {
+        // `repack[i]` is this table's index of `from`'s count vector `i`,
+        // by running mixed-radix increment over `from`'s dimensions.
+        let mut repack = Vec::with_capacity(from.count_states);
+        let mut digits = vec![0usize; from.k()];
+        let mut idx = 0usize;
+        for _ in 0..from.count_states {
+            repack.push(idx);
+            for (j, digit) in digits.iter_mut().enumerate() {
+                if *digit < from.dims[j] {
+                    *digit += 1;
+                    idx += self.strides[j];
+                    break;
+                }
+                idx -= *digit * self.strides[j];
+                *digit = 0;
+            }
+        }
+        for s in 0..from.k() {
+            for (old_idx, &new_idx) in repack.iter().enumerate() {
+                let old = from.state(s, old_idx);
+                let new = self.state(s, new_idx);
+                self.value[new] = from.value[old];
+                let (first, y_idx) = from.choice[old];
+                if first != usize::MAX {
+                    self.choice[new] = (first, repack[y_idx]);
+                }
+            }
+        }
+    }
+
+    /// Fills every state outside `covered`, the dimensions of the table
+    /// [`DpTable::copy_states`] copied in (`None` when nothing was copied).
+    fn fill(&mut self, mode: DpFillMode, covered: Option<&[usize]>) {
         let k = self.dims.len();
         let max_total: usize = self.dims.iter().sum();
 
         // Total destination count per state, by running mixed-radix
         // increment (amortised O(1) per state), and counting sort of the
-        // states into shells of equal total. Within a shell the order is
-        // ascending state index, matching the reference fill's stable sort.
+        // states outside the covered box into shells of equal total. Within
+        // a shell the order is ascending state index.
+        const COVERED: u32 = u32::MAX;
         let mut totals = vec![0u32; self.count_states];
         let mut shell_start = vec![0usize; max_total + 2];
         {
             let mut digits = vec![0usize; k];
             let mut total = 0usize;
             for slot in totals.iter_mut() {
-                *slot = total as u32;
-                shell_start[total + 1] += 1;
+                if covered.is_some_and(|dims| digits.iter().zip(dims).all(|(d, dim)| d <= dim)) {
+                    *slot = COVERED;
+                } else {
+                    *slot = total as u32;
+                    shell_start[total + 1] += 1;
+                }
                 for (digit, &dim) in digits.iter_mut().zip(&self.dims) {
                     if *digit < dim {
                         *digit += 1;
@@ -227,17 +324,19 @@ impl DpTable {
         for t in 0..=max_total {
             shell_start[t + 1] += shell_start[t];
         }
-        let mut order = vec![0usize; self.count_states];
+        let mut order = vec![0usize; shell_start[max_total + 1]];
         {
             let mut cursor = shell_start.clone();
             for (idx, &total) in totals.iter().enumerate() {
-                order[cursor[total as usize]] = idx;
-                cursor[total as usize] += 1;
+                if total != COVERED {
+                    order[cursor[total as usize]] = idx;
+                    cursor[total as usize] += 1;
+                }
             }
         }
 
         // Base shell: the all-zero count vector is trivially complete for
-        // every source type.
+        // every source type (and already copied when widening).
         for s in 0..k {
             let state = self.state(s, 0);
             self.value[state] = Time::ZERO;
@@ -335,14 +434,17 @@ impl DpTable {
     }
 
     /// Evaluates the Lemma 4 recurrence for one non-base state, for every
-    /// source type `s`, reading only strictly-smaller-total states.
+    /// source type `s` in one walk over the candidate splits `(first, y)`,
+    /// reading only strictly-smaller-total states.
     ///
     /// All slice parameters have length `k`: `digits`/`avail`/`y` are digit
     /// scratch, `out_values`/`out_choices` receive the per-source results.
-    /// The inner enumeration performs **no allocation and no division**:
+    /// A split scores `max(τ(first, y) + L + R(first), τ(s, avail − y))`
+    /// for source `s`, whose value is `S(s)` plus its least score. The
+    /// inner enumeration performs **no allocation and no division**:
     /// `y ≤ avail` componentwise means the mixed-radix subtraction has no
-    /// borrows, so `idx(avail − y) = idx(avail) − idx(y)` and both table
-    /// reads are pure index arithmetic off the running `y_idx`.
+    /// borrows, so `idx(avail − y) = idx(avail) − idx(y)`, and with `y_0`
+    /// of stride 1 each run of `y_0` reads two contiguous slices.
     fn kernel(
         &self,
         count_idx: usize,
@@ -363,59 +465,64 @@ impl DpTable {
             rem /= base;
         }
         debug_assert!(digits.iter().any(|&d| d > 0), "base state has no choice");
-        for s in 0..k {
-            let send_s = self.typed.spec_of(s).send();
-            let value_s = &self.value[s * cs..(s + 1) * cs];
-            let mut best = Time::MAX;
-            let mut best_choice = (usize::MAX, usize::MAX);
-            for first in 0..k {
-                if digits[first] == 0 {
-                    continue;
+        out_values.fill(Time::MAX);
+        out_choices.fill((usize::MAX, usize::MAX));
+        for first in 0..k {
+            if digits[first] == 0 {
+                continue;
+            }
+            let head = latency + self.typed.spec_of(first).recv();
+            let value_first = &self.value[first * cs..(first + 1) * cs];
+            // Counts available to split between the first child's subtree
+            // and the source's remainder, and their packed index (linear:
+            // one stride subtraction).
+            let avail_idx = count_idx - self.strides[first];
+            avail.copy_from_slice(digits);
+            avail[first] -= 1;
+            let run = avail[0];
+            // Enumerate the digits y_1.. in mixed radix, keeping their
+            // packed index `high`. For each, y_0 runs over 0..=run: the
+            // subtree values are `value_first[high..=high + run]`, and source
+            // s's remainders the run of τ(s, ·) ending at `avail_idx - high`,
+            // read backwards.
+            y.fill(0);
+            let mut high = 0usize;
+            loop {
+                let subtree = &value_first[high..high + run + 1];
+                let low = avail_idx - high - run;
+                let sources = self.value.chunks_exact(cs).zip(out_values.iter_mut());
+                for ((value_s, best), best_choice) in sources.zip(out_choices.iter_mut()) {
+                    let remaining = &value_s[low..low + run + 1];
+                    for y0 in 0..subtree.len() {
+                        let (sub, rest) = (subtree[y0], remaining[run - y0]);
+                        debug_assert_ne!(sub, Time::MAX);
+                        debug_assert_ne!(rest, Time::MAX);
+                        let score = (sub + head).max(rest);
+                        if score < *best {
+                            *best = score;
+                            *best_choice = (first, high + y0);
+                        }
+                    }
                 }
-                let head = send_s + latency + self.typed.spec_of(first).recv();
-                let value_first = &self.value[first * cs..(first + 1) * cs];
-                // Counts available to split between the first child's
-                // subtree and the source's remainder, and their packed
-                // index (linear: one stride subtraction).
-                let avail_idx = count_idx - self.strides[first];
-                avail.copy_from_slice(digits);
-                avail[first] -= 1;
-                // Enumerate all y with 0 ≤ y_j ≤ avail[j], maintaining the
-                // packed index incrementally.
-                y.fill(0);
-                let mut y_idx = 0usize;
-                loop {
-                    let subtree = value_first[y_idx];
-                    let remaining = value_s[avail_idx - y_idx];
-                    debug_assert_ne!(subtree, Time::MAX);
-                    debug_assert_ne!(remaining, Time::MAX);
-                    let completion = (subtree + head).max(remaining + send_s);
-                    if completion < best {
-                        best = completion;
-                        best_choice = (first, y_idx);
-                    }
-                    // Advance y in mixed radix.
-                    let mut j = 0;
-                    loop {
-                        if j == k {
-                            break;
-                        }
-                        if y[j] < avail[j] {
-                            y[j] += 1;
-                            y_idx += self.strides[j];
-                            break;
-                        }
-                        y_idx -= y[j] * self.strides[j];
-                        y[j] = 0;
-                        j += 1;
-                    }
-                    if j == k {
+                // Advance y_1.. in mixed radix.
+                let mut j = 1;
+                while j < k {
+                    if y[j] < avail[j] {
+                        y[j] += 1;
+                        high += self.strides[j];
                         break;
                     }
+                    high -= y[j] * self.strides[j];
+                    y[j] = 0;
+                    j += 1;
+                }
+                if j == k {
+                    break;
                 }
             }
-            out_values[s] = best;
-            out_choices[s] = best_choice;
+        }
+        for (s, value) in out_values.iter_mut().enumerate() {
+            *value = self.typed.spec_of(s).send() + *value;
         }
     }
 
@@ -911,6 +1018,77 @@ mod tests {
             auto.reconstruct_schedule().unwrap(),
             sequential.reconstruct_schedule().unwrap()
         );
+    }
+
+    /// Asserts two tables are bit-identical: same instance, dimensions,
+    /// values and choices.
+    fn assert_same_table(a: &DpTable, b: &DpTable) {
+        assert_eq!(a.typed, b.typed);
+        assert_eq!(a.dims(), b.dims());
+        assert_eq!(a.value, b.value);
+        assert_eq!(a.choice, b.choice);
+    }
+
+    #[test]
+    fn heap_scratch_fill_matches_the_reference() {
+        // k = 9 exceeds MAX_PACKED_K, so the fill takes the sequential
+        // heap-scratch path in every mode.
+        let specs: Vec<NodeSpec> = (1..=9).map(|i| NodeSpec::new(i, 2 * i)).collect();
+        let typed = TypedMulticast::new(specs, 4, vec![1; 9]).unwrap();
+        assert!(typed.k() > MAX_PACKED_K);
+        let net = NetParams::new(3);
+        let reference = DpTable::build_reference(&typed, net);
+        for mode in [DpFillMode::Sequential, DpFillMode::Parallel] {
+            let fast = DpTable::build_with_mode(&typed, net, mode);
+            assert_same_table(&fast, &reference);
+            assert_eq!(
+                fast.reconstruct_schedule().unwrap(),
+                reference.reconstruct_schedule().unwrap(),
+                "mode {mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn widening_equals_a_fresh_build_in_every_fill_mode() {
+        // Each widening copies the narrower table's box and fills the rest;
+        // the result must be bit-identical to building the wide instance
+        // from nothing. The two-class case is wide enough that the covered-
+        // box fill hands whole shells (≥ PAR_MIN_SHELL states) to rayon.
+        let net = NetParams::new(2);
+        let two = vec![NodeSpec::new(1, 1), NodeSpec::new(3, 5)];
+        let three = vec![
+            NodeSpec::new(1, 1),
+            NodeSpec::new(2, 2),
+            NodeSpec::new(4, 7),
+        ];
+        let chains: [(&[NodeSpec], &[&[usize]]); 2] = [
+            (&two, &[&[12, 20], &[40, 40], &[41, 44]]),
+            (&three, &[&[0, 2, 1], &[3, 2, 1], &[3, 4, 5], &[6, 6, 6]]),
+        ];
+        for (specs, chain) in chains {
+            for mode in [
+                DpFillMode::Auto,
+                DpFillMode::Sequential,
+                DpFillMode::Parallel,
+            ] {
+                let mut table: Option<DpTable> = None;
+                for (step, dims) in chain.iter().enumerate() {
+                    let typed =
+                        TypedMulticast::new(specs.to_vec(), step % specs.len(), dims.to_vec())
+                            .unwrap();
+                    let widened = DpTable::widen(table.as_ref(), &typed, net, mode);
+                    let fresh = DpTable::build_with_mode(&typed, net, mode);
+                    assert_same_table(&widened, &fresh);
+                    assert_eq!(
+                        widened.reconstruct_schedule().unwrap(),
+                        fresh.reconstruct_schedule().unwrap(),
+                        "mode {mode:?}, dims {dims:?}"
+                    );
+                    table = Some(widened);
+                }
+            }
+        }
     }
 
     #[test]

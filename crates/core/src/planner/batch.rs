@@ -1,6 +1,6 @@
 //! Batched planning: fan requests across planners, share DP tables.
 
-use crate::algorithms::dp::DpTable;
+use crate::algorithms::dp::{DpFillMode, DpTable};
 use crate::error::CoreError;
 use crate::planner::registry::Planner;
 use crate::planner::request::{Plan, PlanRequest};
@@ -18,8 +18,11 @@ use std::sync::{Arc, Mutex};
 /// the same workstation types. The cache implements exactly that: tables are
 /// keyed by `(canonical class overheads, network latency)`, and a cached
 /// table serves any request whose per-class counts fit inside its
-/// dimensions. A request that outgrows the cached table triggers one rebuild
-/// with element-wise maximum dimensions, after which both shapes hit.
+/// dimensions. A request that outgrows the cached table widens it once to
+/// the element-wise maximum dimensions, after which both shapes hit.
+/// Widening copies every state the old table holds and fills only the new
+/// ones (see the [fill kernel](crate::algorithms::dp#fill-kernel) docs);
+/// the widened table equals a fresh build of the wider instance.
 ///
 /// The key is the **canonical** class signature
 /// ([`TypedMulticast::canonical`]): classes sorted by overhead with
@@ -34,7 +37,7 @@ use std::sync::{Arc, Mutex};
 /// Long-running services bound the cache with
 /// [`DpCache::with_capacity`]: once more than `capacity` distinct signatures
 /// are resident, the least-recently-used table is evicted (an evicted
-/// signature simply rebuilds on its next use).
+/// signature is built afresh on its next use).
 #[derive(Debug, Default)]
 pub struct DpCache {
     inner: Mutex<CacheInner>,
@@ -89,21 +92,21 @@ impl DpCache {
     ///
     /// Table builds are the expensive part of a batch, so they never happen
     /// while holding the cache lock: the lock is taken briefly to probe (and
-    /// plan the widened dimensions), released for the build, then retaken
-    /// for a double-checked insert. A racing thread that inserted an
-    /// at-least-as-wide table meanwhile wins and the local build is
-    /// discarded — either table answers the request identically. If two
+    /// plan the widened dimensions), released for the build or widening,
+    /// then retaken for a double-checked insert. A racing thread that
+    /// inserted an at-least-as-wide table meanwhile wins and the local table
+    /// is discarded — either table answers the request identically. If two
     /// racing builds have incomparable dimensions the later insert wins and
     /// the other shape misses once more; that miss probes the now-cached
-    /// table and builds the element-wise union, so the cache converges after
-    /// at most one extra rebuild per raced shape.
+    /// table and widens it to the element-wise union, so the cache converges
+    /// after at most one extra widening per raced shape.
     ///
     /// Metrics contract: every call counts one lookup, and every lookup is
     /// either a hit or a miss (`lookups == hits + misses`, always). The miss
-    /// counter is incremented exactly once per table *built* — on the miss
-    /// path, before the build — so a racing build that loses the
-    /// double-checked insert still counts the one miss for the one build it
-    /// performed, and no path counts twice.
+    /// counter is incremented exactly once per table *built* (fresh or
+    /// widened) — on the miss path, before the build — so a racing build
+    /// that loses the double-checked insert still counts the one miss for
+    /// the one build it performed, and no path counts twice.
     pub fn table_for(&self, typed: &TypedMulticast, net: NetParams) -> Arc<DpTable> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let canonical;
@@ -117,6 +120,7 @@ impl DpCache {
         // Probe, and on an undersized table plan dimensions that also cover
         // everything previously cached under this key.
         let mut dims = typed.counts().to_vec();
+        let mut outgrown = None;
         {
             let mut inner = self.inner.lock().expect("DP cache lock poisoned");
             inner.clock += 1;
@@ -130,15 +134,21 @@ impl DpCache {
                 for (dim, &old) in dims.iter_mut().zip(entry.table.dims()) {
                     *dim = (*dim).max(old);
                 }
+                outgrown = Some(Arc::clone(&entry.table));
             }
         }
         // A miss: exactly one increment per table built, recorded before the
         // build so the racing-discard path below cannot skip or double it.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock.
+        // Build, or widen the outgrown table, outside the lock.
         let widened = TypedMulticast::new(typed.specs().to_vec(), typed.source_class(), dims)
             .expect("widening preserves validity of a typed instance");
-        let table = Arc::new(DpTable::build(&widened, net));
+        let table = Arc::new(DpTable::widen(
+            outgrown.as_deref(),
+            &widened,
+            net,
+            DpFillMode::Auto,
+        ));
         // Double-checked insert.
         let mut inner = self.inner.lock().expect("DP cache lock poisoned");
         inner.clock += 1;
@@ -187,13 +197,14 @@ impl DpCache {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups served from a cached table without a rebuild.
+    /// Number of lookups served from a cached table without a build.
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that built a table — exactly one per build, even
-    /// when a racing build is discarded by the double-checked insert.
+    /// Number of lookups that built or widened a table — exactly one per
+    /// build, even when a racing build is discarded by the double-checked
+    /// insert.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -344,7 +355,7 @@ mod tests {
 
     #[test]
     fn outgrown_tables_are_rebuilt_with_union_dimensions() {
-        // A request bigger than the cached table forces one rebuild whose
+        // A request bigger than the cached table forces one widening whose
         // dimensions cover both shapes; afterwards both shapes hit. Also
         // exercises the build-outside-the-lock path end to end: the returned
         // tables must answer their requests despite probe/build/insert being
@@ -357,16 +368,76 @@ mod tests {
         let wide = TypedMulticast::new(specs.clone(), 0, vec![1, 4]).unwrap();
         let t1 = cache.table_for(&tall, net);
         assert_eq!(t1.dims(), &[4, 1]);
+        assert_eq!(cache.misses(), 1, "one miss for the fresh build");
         let t2 = cache.table_for(&wide, net);
-        assert_eq!(t2.dims(), &[4, 4], "rebuild takes element-wise max dims");
+        assert_eq!(t2.dims(), &[4, 4], "widening takes element-wise max dims");
+        assert_eq!(cache.misses(), 2, "one miss for the widening");
         assert_eq!(cache.hits(), 0);
 
         // Both original shapes (and anything inside the union) now hit.
         let t3 = cache.table_for(&tall, net);
         let t4 = cache.table_for(&wide, net);
         assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.misses(), 2, "hits build nothing");
         assert!(Arc::ptr_eq(&t3, &t4));
         assert_eq!(t3.query(0, tall.counts()), t1.query(0, tall.counts()));
+    }
+
+    #[test]
+    fn widened_tables_equal_fresh_builds() {
+        // One canonical three-class signature walked through a chain of
+        // growing instances: each lookup widens the cached table, and every
+        // widened table must equal a fresh build of the widened instance in
+        // its dimensions, every state value and every reconstructed tree.
+        let specs = vec![
+            NodeSpec::new(1, 1),
+            NodeSpec::new(2, 3),
+            NodeSpec::new(4, 7),
+        ];
+        let net = NetParams::new(2);
+        let cache = DpCache::new();
+        let chain = [
+            (1, vec![1, 0, 2]),
+            (0, vec![2, 3, 1]),
+            (2, vec![4, 1, 1]),
+            (1, vec![3, 4, 3]),
+        ];
+        let mut dims = vec![0usize; specs.len()];
+        for (step, (source, counts)) in chain.into_iter().enumerate() {
+            let typed = TypedMulticast::new(specs.clone(), source, counts).unwrap();
+            assert!(typed.is_canonical());
+            let table = cache.table_for(&typed, net);
+            assert_eq!(cache.misses(), step + 1, "one miss per table built");
+            for (dim, &count) in dims.iter_mut().zip(typed.counts()) {
+                *dim = (*dim).max(count);
+            }
+            let fresh = DpTable::build(
+                &TypedMulticast::new(specs.clone(), source, dims.clone()).unwrap(),
+                net,
+            );
+            assert_eq!(table.dims(), fresh.dims(), "step {step}");
+            assert_eq!(
+                table.reconstruct_schedule().unwrap(),
+                fresh.reconstruct_schedule().unwrap(),
+                "step {step}"
+            );
+            let mut sub = vec![0usize; dims.len()];
+            loop {
+                for s in 0..specs.len() {
+                    let sub_typed = TypedMulticast::new(specs.clone(), s, sub.clone()).unwrap();
+                    assert_eq!(
+                        table.schedule_for(&sub_typed).unwrap(),
+                        fresh.schedule_for(&sub_typed).unwrap(),
+                        "step {step}, s={s}, counts={sub:?}"
+                    );
+                }
+                let Some(j) = (0..sub.len()).find(|&j| sub[j] < dims[j]) else {
+                    break;
+                };
+                sub[..j].fill(0);
+                sub[j] += 1;
+            }
+        }
     }
 
     #[test]
@@ -380,7 +451,7 @@ mod tests {
         let wide = TypedMulticast::new(specs.clone(), 0, vec![1, 4]).unwrap();
         cache.table_for(&tall, net); // build
         cache.table_for(&tall, net); // hit
-        cache.table_for(&wide, net); // widening rebuild
+        cache.table_for(&wide, net); // widening
         cache.table_for(&tall, net); // hit (covered by the union)
         assert_eq!(cache.lookups(), 4);
         assert_eq!(cache.hits(), 2);
@@ -479,7 +550,7 @@ mod tests {
         assert_eq!(cache.resident(), 2);
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.hits(), 1);
-        // `a` survived (hit), `b` was evicted (miss + rebuild).
+        // `a` survived (hit), `b` was evicted (miss + fresh build).
         cache.table_for(&a, net);
         assert_eq!(cache.hits(), 2);
         cache.table_for(&b, net);
