@@ -1,9 +1,10 @@
 //! Machine-readable perf-baseline harness.
 //!
 //! This module times a **fixed scenario grid** over the workspace's hot
-//! paths — DP table builds (sequential and shell-parallel), greedy
-//! planning, the exact branch-and-bound search, the batched `plan_many`
-//! facade, a traffic-engine soak, a sharded-cluster soak (`sharded_soak`,
+//! paths — DP table builds (sequential and shell-parallel, and one table
+//! widened twice through the DP cache), greedy planning, the exact
+//! branch-and-bound search, the batched `plan_many` facade, a
+//! traffic-engine soak, a sharded-cluster soak (`sharded_soak`,
 //! the dispatcher + gateway-stitching path), a thread-scaling soak
 //! (`parallel_soak`, the same sharded run under 1- and 8-thread rayon
 //! pools), a control-plane soak (`control_plane`, the epoch-batched service
@@ -28,7 +29,7 @@
 use hnow_core::algorithms::dp::{DpFillMode, DpTable};
 use hnow_core::algorithms::greedy::{greedy_with_options, GreedyOptions};
 use hnow_core::algorithms::optimal::{search, SearchOptions};
-use hnow_core::planner::{find, plan_many_with, PlanContext, PlanRequest, Planner};
+use hnow_core::planner::{find, plan_many_with, DpCache, PlanContext, PlanRequest, Planner};
 use hnow_core::RepairPlacement;
 use hnow_model::{ChunkProfile, MessageSize, NetParams, TypedMulticast};
 use hnow_sim::cluster::{ControlConfig, RebalanceConfig, ShardedCluster};
@@ -144,7 +145,8 @@ pub fn run(mode: BaselineMode) -> BaselineReport {
 
 /// DP table builds over the standard workload class tables, including a
 /// sequential-vs-parallel pair at one size so the shell-parallel speedup is
-/// part of the trajectory once a parallel rayon is in use.
+/// part of the trajectory once a parallel rayon is in use, and one table
+/// widened twice through a `DpCache`.
 fn dp_build_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
     let net = NetParams::new(2);
     let size = MessageSize::from_kib(4);
@@ -204,6 +206,32 @@ fn dp_build_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
             },
         ));
     }
+
+    // Widening through the DP cache, the same case in both grids: a fresh
+    // cache builds one canonical three-class signature (three of the four
+    // standard classes, as `dp-optimal` serves them) and widens it twice,
+    // up to dims (6, 6, 6).
+    let specs = four.specs_at(size).expect("standard classes are valid");
+    let chain: Vec<TypedMulticast> = [[2, 2, 2], [4, 4, 4], [6, 6, 6]]
+        .into_iter()
+        .map(|counts| {
+            TypedMulticast::new(specs[..3].to_vec(), 0, counts.to_vec())
+                .expect("valid instance")
+                .canonical()
+        })
+        .collect();
+    cases.push(time_case(
+        "dp_build",
+        "dp_build/k3-widen/18".to_string(),
+        18,
+        10,
+        || {
+            let cache = DpCache::new();
+            for typed in &chain {
+                black_box(cache.table_for(black_box(typed), net));
+            }
+        },
+    ));
 }
 
 /// Refined greedy planning across cluster sizes.
@@ -812,6 +840,7 @@ mod tests {
                 "dp_build/k4/8",
                 "dp_build/k2-sequential/32",
                 "dp_build/k2-parallel/32",
+                "dp_build/k3-widen/18",
                 "greedy/refined/256",
                 "branch_bound/exact/9",
                 "plan_many/greedy+dp/24",
