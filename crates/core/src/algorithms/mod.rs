@@ -9,7 +9,7 @@ pub mod greedy;
 pub mod optimal;
 pub mod transform;
 
-pub use dp::{dp_optimum, DpFillMode, DpTable};
+pub use dp::{dp_optimum, DpTable};
 pub use greedy::{greedy_schedule, greedy_with_options, GreedyOptions};
 pub use optimal::{optimal_schedule, search, Objective, OptimalResult, SearchOptions};
 pub use transform::{power_of_two_rounding, uniform_integer_ratio, RoundedInstance};

@@ -77,8 +77,8 @@ pub mod planner;
 pub mod schedule;
 
 pub use algorithms::{
-    dp_optimum, greedy_schedule, greedy_with_options, optimal_schedule, DpFillMode, DpTable,
-    GreedyOptions, Objective, OptimalResult, SearchOptions,
+    dp_optimum, greedy_schedule, greedy_with_options, optimal_schedule, DpTable, GreedyOptions,
+    Objective, OptimalResult, SearchOptions,
 };
 pub use analysis::{stats, ScheduleStats};
 pub use bounds::{lower_bound, theorem1_bound, theorem1_factor, LowerBound};

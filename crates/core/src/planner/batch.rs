@@ -1,6 +1,6 @@
 //! Batched planning: fan requests across planners, share DP tables.
 
-use crate::algorithms::dp::{DpFillMode, DpTable};
+use crate::algorithms::dp::DpTable;
 use crate::error::CoreError;
 use crate::planner::registry::Planner;
 use crate::planner::request::{Plan, PlanRequest};
@@ -143,12 +143,7 @@ impl DpCache {
         // Build, or widen the outgrown table, outside the lock.
         let widened = TypedMulticast::new(typed.specs().to_vec(), typed.source_class(), dims)
             .expect("widening preserves validity of a typed instance");
-        let table = Arc::new(DpTable::widen(
-            outgrown.as_deref(),
-            &widened,
-            net,
-            DpFillMode::Auto,
-        ));
+        let table = Arc::new(DpTable::widen(outgrown.as_deref(), &widened, net));
         // Double-checked insert.
         let mut inner = self.inner.lock().expect("DP cache lock poisoned");
         inner.clock += 1;

@@ -1,15 +1,15 @@
 //! Differential properties of the Theorem 2 DP fill kernel.
 //!
-//! [`DpTable::build`] runs an allocation-free, shell-parallel kernel whose
-//! correctness rests on two non-obvious arguments (linear mixed-radix
-//! indexing and the shell wavefront). These tests pin it against
-//! [`DpTable::build_reference`] — the retained straightforward recurrence
-//! transcription — on random limited-heterogeneity instances with `k ≤ 3`
-//! types: every table state must agree exactly, in every fill mode, and the
-//! reconstructed optimal schedules must be identical trees with identical
-//! evaluated timings.
+//! [`DpTable::build`] runs an allocation-free kernel whose correctness
+//! rests on two non-obvious arguments (linear mixed-radix indexing, and a
+//! fill in ascending packed index, which every dependency precedes). These
+//! tests pin it against [`DpTable::build_reference`] — the retained
+//! straightforward recurrence transcription — on random
+//! limited-heterogeneity instances with `k ≤ 3` types: every table state
+//! must agree exactly, and the reconstructed optimal schedules must be
+//! identical trees with identical evaluated timings.
 
-use hnow_core::algorithms::dp::{DpFillMode, DpTable};
+use hnow_core::algorithms::dp::DpTable;
 use hnow_core::schedule::{reception_completion, validate};
 use hnow_model::{NetParams, NodeSpec, Time, TypedMulticast};
 use proptest::prelude::*;
@@ -61,8 +61,8 @@ fn all_count_vectors(dims: &[usize]) -> Vec<Vec<usize>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every fill mode of the kernel reproduces the reference table exactly:
-    /// same value in every (source type, count vector) state.
+    /// The kernel reproduces the reference table exactly: same value in
+    /// every (source type, count vector) state.
     #[test]
     fn kernel_values_match_reference_on_every_state(
         raw in prop::collection::vec((1u64..=6, 0u64..=6), 1..=3),
@@ -73,18 +73,16 @@ proptest! {
         let typed = typed_from_raw(raw.clone(), &count_pool, source_raw);
         let net = NetParams::new(latency);
         let reference = DpTable::build_reference(&typed, net);
-        for mode in [DpFillMode::Auto, DpFillMode::Sequential, DpFillMode::Parallel] {
-            let fast = DpTable::build_with_mode(&typed, net, mode);
-            prop_assert_eq!(fast.dims(), reference.dims());
-            prop_assert_eq!(fast.num_states(), reference.num_states());
-            for counts in all_count_vectors(reference.dims()) {
-                for s in 0..reference.k() {
-                    prop_assert_eq!(
-                        fast.query(s, &counts),
-                        reference.query(s, &counts),
-                        "mode {:?}, s={}, counts={:?}", mode, s, &counts
-                    );
-                }
+        let fast = DpTable::build(&typed, net);
+        prop_assert_eq!(fast.dims(), reference.dims());
+        prop_assert_eq!(fast.num_states(), reference.num_states());
+        for counts in all_count_vectors(reference.dims()) {
+            for s in 0..reference.k() {
+                prop_assert_eq!(
+                    fast.query(s, &counts),
+                    reference.query(s, &counts),
+                    "s={}, counts={:?}", s, &counts
+                );
             }
         }
     }
@@ -104,17 +102,15 @@ proptest! {
         let reference = DpTable::build_reference(&typed, net);
         let reference_tree = reference.reconstruct_schedule().unwrap();
         let set = typed.to_multicast_set().unwrap();
-        for mode in [DpFillMode::Auto, DpFillMode::Sequential, DpFillMode::Parallel] {
-            let fast = DpTable::build_with_mode(&typed, net, mode);
-            let fast_tree = fast.reconstruct_schedule().unwrap();
-            prop_assert_eq!(&fast_tree, &reference_tree, "mode {:?}", mode);
-            validate(&fast_tree, &set).unwrap();
-            let timing = if set.num_destinations() == 0 {
-                Time::ZERO
-            } else {
-                reception_completion(&fast_tree, &set, net).unwrap()
-            };
-            prop_assert_eq!(timing, fast.optimum(), "mode {:?}", mode);
-        }
+        let fast = DpTable::build(&typed, net);
+        let fast_tree = fast.reconstruct_schedule().unwrap();
+        prop_assert_eq!(&fast_tree, &reference_tree);
+        validate(&fast_tree, &set).unwrap();
+        let timing = if set.num_destinations() == 0 {
+            Time::ZERO
+        } else {
+            reception_completion(&fast_tree, &set, net).unwrap()
+        };
+        prop_assert_eq!(timing, fast.optimum());
     }
 }

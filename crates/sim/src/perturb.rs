@@ -184,19 +184,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jittered_replay_matches_the_single_schedule_executor() {
-        // Under perturbation there is no closed form, but the dedicated
-        // single-schedule executor plays the same one-port semantics — the
-        // kernel replay must agree with its trace on every seed.
-        let set = sample_set();
-        let net = hnow_model::NetParams::new(2);
-        let tree = hnow_core::greedy_schedule(&set, net);
-        for seed in 0..20u64 {
-            let specs = PerturbConfig::new(0.4, seed).perturb(&set);
-            let (_, reception) = kernel_replay(&tree, &specs, net);
-            let trace = crate::engine::execute_with_specs(&tree, &specs, net).unwrap();
-            assert_eq!(reception, trace.completion, "seed {seed}");
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Under perturbation there is no closed form, but the independent
+        /// single-schedule executor plays the same one-port semantics: the
+        /// kernel replay must agree with its trace on delivery and
+        /// reception completion, for every planner that supports a random
+        /// cluster.
+        #[test]
+        fn jittered_replay_matches_the_single_schedule_executor(
+            destinations in 1usize..=14,
+            random_source in proptest::bool::ANY,
+            cluster_seed in 0u64..1_000_000,
+            latency in 0u64..=4,
+            jitter in 0.0f64..=0.6,
+            jitter_seed in 0u64..1_000_000,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let config = hnow_workload::RandomClusterConfig {
+                destinations,
+                random_source,
+                ..Default::default()
+            };
+            let set = config.generate(cluster_seed).unwrap();
+            let net = hnow_model::NetParams::new(latency);
+            let specs = PerturbConfig::new(jitter, jitter_seed).perturb(&set);
+            let request = hnow_core::PlanRequest::new(set.clone(), net).with_seed(cluster_seed);
+            for planner in hnow_core::planner::supporting_planners(&set) {
+                let tree = planner.plan(&request).unwrap().tree;
+                let (delivery, reception) = kernel_replay(&tree, &specs, net);
+                let trace = crate::engine::execute_with_specs(&tree, &specs, net).unwrap();
+                let trace_delivery = trace.delivery.iter().copied().max().unwrap();
+                prop_assert_eq!(delivery, trace_delivery, "{}", planner.name());
+                prop_assert_eq!(reception, trace.completion, "{}", planner.name());
+            }
         }
     }
 }

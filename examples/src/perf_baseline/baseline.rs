@@ -1,8 +1,8 @@
 //! Machine-readable perf-baseline harness.
 //!
 //! This module times a **fixed scenario grid** over the workspace's hot
-//! paths — DP table builds (sequential and shell-parallel, and one table
-//! widened twice through the DP cache), greedy planning, the exact
+//! paths — DP table builds (fresh, and one table widened twice through the
+//! DP cache), greedy planning, the exact
 //! branch-and-bound search, the batched `plan_many` facade, a
 //! traffic-engine soak, a sharded-cluster soak (`sharded_soak`,
 //! the dispatcher + gateway-stitching path), a thread-scaling soak
@@ -26,7 +26,7 @@
 //! any single machine (such as the CI runner, which regenerates the quick
 //! grid on every push).
 
-use hnow_core::algorithms::dp::{DpFillMode, DpTable};
+use hnow_core::algorithms::dp::DpTable;
 use hnow_core::algorithms::greedy::{greedy_with_options, GreedyOptions};
 use hnow_core::algorithms::optimal::{search, SearchOptions};
 use hnow_core::planner::{find, plan_many_with, DpCache, PlanContext, PlanRequest, Planner};
@@ -143,10 +143,9 @@ pub fn run(mode: BaselineMode) -> BaselineReport {
     }
 }
 
-/// DP table builds over the standard workload class tables, including a
-/// sequential-vs-parallel pair at one size so the shell-parallel speedup is
-/// part of the trajectory once a parallel rayon is in use, and one table
-/// widened twice through a `DpCache`.
+/// DP table builds over the standard workload class tables, and one table
+/// widened twice through a `DpCache`. Every quick-grid case is also in the
+/// full grid.
 fn dp_build_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
     let net = NetParams::new(2);
     let size = MessageSize::from_kib(4);
@@ -182,27 +181,6 @@ fn dp_build_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
             iters,
             || {
                 black_box(DpTable::build(black_box(&typed), net));
-            },
-        ));
-    }
-
-    // Fill-mode pair at one mid-size point.
-    let n = match mode {
-        BaselineMode::Quick => 32,
-        BaselineMode::Full => 128,
-    };
-    let typed = TypedMulticast::from_classes(&two, size, 0, vec![n / 2, n / 2]).unwrap();
-    for (variant, fill_mode) in [
-        ("sequential", DpFillMode::Sequential),
-        ("parallel", DpFillMode::Parallel),
-    ] {
-        cases.push(time_case(
-            "dp_build",
-            format!("dp_build/k2-{variant}/{n}"),
-            n as u64,
-            iters,
-            || {
-                black_box(DpTable::build_with_mode(black_box(&typed), net, fill_mode));
             },
         ));
     }
@@ -838,8 +816,6 @@ mod tests {
                 "dp_build/k2/16",
                 "dp_build/k2/64",
                 "dp_build/k4/8",
-                "dp_build/k2-sequential/32",
-                "dp_build/k2-parallel/32",
                 "dp_build/k3-widen/18",
                 "greedy/refined/256",
                 "branch_bound/exact/9",
