@@ -1,25 +1,19 @@
 //! Machine-readable perf-baseline harness.
 //!
-//! This module times a **fixed scenario grid** over the workspace's hot
-//! paths — DP table builds (fresh, and one table widened twice through the
-//! DP cache), greedy planning, the exact
-//! branch-and-bound search, the batched `plan_many` facade, a
-//! traffic-engine soak, a sharded-cluster soak (`sharded_soak`,
-//! the dispatcher + gateway-stitching path), a thread-scaling soak
-//! (`parallel_soak`, the same sharded run under 1- and 8-thread rayon
-//! pools), a control-plane soak (`control_plane`, the epoch-batched service
-//! loop with admission toggled on and off), a lossy-repair soak
-//! (`lossy_soak`, the flat engine under 5% injected loss with NACK-driven
-//! repair, per repairer placement), a streaming soak (`stream_soak`, the
-//! flat engine moving 8-chunk trains, pipelined and sequential, against the
-//! atomic anchor), and a telemetry-overhead group (`telemetry_overhead`,
-//! the pipelined train untraced, with an attached trace sink, and with the
-//! time-series collector) — and renders the results as a serializable
+//! This module times a **fixed grid** over the paper's planning kernels —
+//! Theorem 2 DP table builds (`dp_build`: fresh builds, and one table
+//! widened twice through the DP cache), the Lemma 1 greedy with the leaf
+//! refinement (`greedy`), the exact branch-and-bound search
+//! (`branch_bound`) and Section 4's shared-table batch facade
+//! (`plan_many`) — and renders the results as a serializable
 //! [`BaselineReport`], written to `BENCH_core.json` by the `perf_baseline`
-//! binary. The checked-in file is the repo's perf trajectory: one point per
-//! PR that touches a hot path, and [`compare`] diffs two reports entry by
-//! entry — the CI perf-gate runs it (`perf_baseline --compare
-//! BENCH_core.json`) to fail on gross `dp_build` regressions.
+//! binary. The session service is timed end to end by the separate
+//! `perfbench` benchmark, not here. The checked-in file is the repo's perf
+//! trajectory: one point per PR that touches a kernel, and [`compare`]
+//! diffs two reports entry by entry — the CI perf-gate runs it
+//! (`perf_baseline --compare BENCH_core.json`) to fail on gross `dp_build`
+//! regressions. Every quick-grid case is also a full-grid case, so a quick
+//! run compares with the full trajectory by name.
 //!
 //! Wall-clock numbers vary across machines; the grid, case names and JSON
 //! schema are what stay fixed, so trajectory diffs are apples-to-apples on
@@ -30,15 +24,8 @@ use hnow_core::algorithms::dp::DpTable;
 use hnow_core::algorithms::greedy::{greedy_with_options, GreedyOptions};
 use hnow_core::algorithms::optimal::{search, SearchOptions};
 use hnow_core::planner::{find, plan_many_with, DpCache, PlanContext, PlanRequest, Planner};
-use hnow_core::RepairPlacement;
-use hnow_model::{ChunkProfile, MessageSize, NetParams, TypedMulticast};
-use hnow_sim::cluster::{ControlConfig, RebalanceConfig, ShardedCluster};
-use hnow_sim::sessions::TrafficEngine;
-use hnow_sim::{LossProfile, RunConfig};
-use hnow_workload::traffic::{ChurnProfile, NodePool, TrafficPattern};
-use hnow_workload::{
-    standard_class_table, two_class_table, RandomClusterConfig, ShardMap, ShardedPattern,
-};
+use hnow_model::{MessageSize, NetParams, TypedMulticast};
+use hnow_workload::{standard_class_table, two_class_table, RandomClusterConfig};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
@@ -46,9 +33,10 @@ use std::time::Instant;
 /// Grid size of the harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BaselineMode {
-    /// Small grid for CI smoke runs: a few seconds.
+    /// Small grid for CI smoke runs, a subset of the full grid's cases:
+    /// well under a second.
     Quick,
-    /// The full trajectory grid: about ten seconds on a 2-vCPU VM.
+    /// The full trajectory grid: a few seconds on a 2-vCPU VM.
     Full,
 }
 
@@ -128,14 +116,7 @@ pub fn run(mode: BaselineMode) -> BaselineReport {
     dp_build_cases(mode, &mut cases);
     greedy_cases(mode, &mut cases);
     branch_bound_cases(&mut cases);
-    plan_many_cases(mode, &mut cases);
-    traffic_soak_cases(mode, &mut cases);
-    sharded_soak_cases(mode, &mut cases);
-    parallel_soak_cases(mode, &mut cases);
-    control_plane_cases(mode, &mut cases);
-    lossy_soak_cases(mode, &mut cases);
-    stream_soak_cases(mode, &mut cases);
-    telemetry_overhead_cases(mode, &mut cases);
+    plan_many_cases(&mut cases);
     BaselineReport {
         schema: 1,
         mode: mode.label().to_string(),
@@ -212,13 +193,15 @@ fn dp_build_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
     ));
 }
 
-/// Refined greedy planning across cluster sizes.
+/// Refined greedy planning across cluster sizes. The quick grid keeps
+/// `1024`, the smallest full-grid size that plans in more than the
+/// [`GATE_MIN_NS`] noise floor.
 fn greedy_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
     let net = NetParams::new(2);
     let size = MessageSize::from_kib(4);
     let four = standard_class_table();
     let (sizes, iters): (&[usize], u64) = match mode {
-        BaselineMode::Quick => (&[256], 5),
+        BaselineMode::Quick => (&[1024], 5),
         BaselineMode::Full => (&[64, 1024, 4096], 10),
     };
     for &n in sizes {
@@ -278,19 +261,17 @@ fn branch_bound_cases(cases: &mut Vec<BaselineCase>) {
 }
 
 /// Batched planning through the `plan_many` facade with a shared DP cache:
-/// many sub-multicasts over one two-class cluster, planned by the greedy and
-/// exact-DP planners — the paper's precompute-once, answer-everything usage.
-fn plan_many_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
+/// every sub-multicast of up to 12 nodes per class over one two-class
+/// cluster (168 requests), planned by the greedy and exact-DP planners —
+/// the paper's precompute-once, answer-everything usage. The same case in
+/// both grids.
+fn plan_many_cases(cases: &mut Vec<BaselineCase>) {
     let net = NetParams::new(1);
     let size = MessageSize::from_kib(4);
     let two = two_class_table();
-    let (max_per_class, iters): (usize, u64) = match mode {
-        BaselineMode::Quick => (4, 3),
-        BaselineMode::Full => (12, 5),
-    };
     let mut requests = Vec::new();
-    for a in 0..=max_per_class {
-        for b in 0..=max_per_class {
+    for a in 0..=12 {
+        for b in 0..=12 {
             if a + b == 0 {
                 continue;
             }
@@ -307,7 +288,7 @@ fn plan_many_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
         "plan_many",
         format!("plan_many/greedy+dp/{batch}"),
         batch,
-        iters,
+        5,
         || {
             // A fresh context per iteration: the measurement includes the
             // one shared table build plus every cache-served request.
@@ -315,363 +296,6 @@ fn plan_many_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
             black_box(plan_many_with(&planners, black_box(&requests), &ctx));
         },
     ));
-}
-
-/// End-to-end traffic-engine soak: a seeded Poisson session stream planned
-/// in batches and executed against shared node state — the sessions-at-scale
-/// hot path (plan_many + canonical DP-cache + the busy-interval DES).
-fn traffic_soak_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 3u64),
-        BaselineMode::Full => (512, 5),
-    };
-    let pattern = TrafficPattern::poisson(12.0, 6);
-    let requests = pattern
-        .generate(&pool, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    for planner in ["greedy+leaf", "dp-optimal"] {
-        let engine = TrafficEngine::with_config(&pool, net, &RunConfig::for_planner(planner));
-        cases.push(time_case(
-            "traffic_soak",
-            format!("traffic_soak/{planner}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(engine.run(black_box(&requests)).expect("soak run succeeds"));
-            },
-        ));
-    }
-}
-
-/// End-to-end sharded-cluster soak: the same seeded session stream (with a
-/// cross-shard component) served by the sharded dispatcher — per-shard plan
-/// caches, gateway stitching for cross-shard sessions, and the lazily-primed
-/// component simulation. The companion `traffic_soak` group covers the flat
-/// engine, so the pair tracks the sharded speedup over the trajectory.
-fn sharded_soak_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let shards = 4;
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 3u64),
-        BaselineMode::Full => (512, 5),
-    };
-    let map = ShardMap::partition(&pool, shards).expect("soak partition is valid");
-    let pattern = ShardedPattern::poisson(12.0, 6, 0.1);
-    let requests = pattern
-        .generate(&map, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    for planner in ["greedy+leaf", "dp-optimal"] {
-        let cluster = ShardedCluster::with_config(
-            &pool,
-            net,
-            &RunConfig::for_planner(planner).sharded(shards),
-        )
-        .expect("soak cluster is valid");
-        cases.push(time_case(
-            "sharded_soak",
-            format!("sharded_soak/{planner}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(
-                    cluster
-                        .run(black_box(&requests))
-                        .expect("soak run succeeds"),
-                );
-            },
-        ));
-    }
-}
-
-/// Thread-scaling soak over the sharded cluster: one seeded intra-only
-/// stream (8 shards, cross fraction 0, so the contact graph yields 8
-/// node-disjoint components) run under a 1-thread and an 8-thread rayon
-/// pool. The unified kernel guarantees byte-identical reports for both
-/// cases; the *pair of timings* is the trajectory of the component
-/// fan-out's real parallel speedup (≈1x on a single-core host, where the
-/// workers time-slice one core).
-fn parallel_soak_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[256, 128],
-        },
-    )
-    .expect("soak pool is valid");
-    let shards = 8;
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (256usize, 2u64),
-        BaselineMode::Full => (100_000, 3),
-    };
-    let map = ShardMap::partition(&pool, shards).expect("soak partition is valid");
-    let pattern = ShardedPattern::poisson(2.0, 5, 0.0);
-    let requests = pattern
-        .generate(&map, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    for threads in [1usize, 8] {
-        let config = RunConfig::default().sharded(shards).with_threads(threads);
-        let cluster =
-            ShardedCluster::with_config(&pool, net, &config).expect("soak cluster is valid");
-        cases.push(time_case(
-            "parallel_soak",
-            format!("parallel_soak/threads{threads}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(
-                    cluster
-                        .run(black_box(&requests))
-                        .expect("soak run succeeds"),
-                );
-            },
-        ));
-    }
-}
-
-/// Control-plane soak: the same churned, partly-cross-shard stream served
-/// by the epoch-batched service loop at 8 shards, with the admission
-/// controller toggled on and off (rebalancing and the load-aware gateway
-/// policy stay on in both). The pair prices the control plane itself:
-/// `admission-on` adds intent building, the virtual-clock sort and
-/// shedding on top of the identical per-epoch planning and simulation.
-fn control_plane_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let shards = 8;
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 2u64),
-        BaselineMode::Full => (512, 3),
-    };
-    let map = ShardMap::partition(&pool, shards).expect("soak partition is valid");
-    let mut pattern = ShardedPattern::poisson(8.0, 5, 0.15);
-    pattern.base.churn = Some(ChurnProfile {
-        impatient_fraction: 0.4,
-        mean_patience: 60.0,
-    });
-    let requests = pattern
-        .generate(&map, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    for (variant, admission) in [("admission-on", true), ("admission-off", false)] {
-        let config = RunConfig::default()
-            .sharded(shards)
-            .with_control(ControlConfig {
-                epoch: 32,
-                admission,
-                policy: "load-aware".to_string(),
-                rebalance: Some(RebalanceConfig::default()),
-            });
-        let cluster =
-            ShardedCluster::with_config(&pool, net, &config).expect("soak cluster is valid");
-        cases.push(time_case(
-            "control_plane",
-            format!("control_plane/{variant}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(
-                    cluster
-                        .run(black_box(&requests))
-                        .expect("soak run succeeds"),
-                );
-            },
-        ));
-    }
-}
-
-/// Lossy-traffic soak: the `traffic_soak` stream re-run under 5% injected
-/// iid loss with NACK-driven repair, once per repairer placement (plus the
-/// lossless anchor with the fault layer disabled). The anchor-vs-lossy gap
-/// prices the repair machinery itself — keyed loss draws, the band-2 repair
-/// events and the extra port occupancy — and the placement pair tracks how
-/// much of that cost is queueing behind the source's one port.
-fn lossy_soak_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 2u64),
-        BaselineMode::Full => (512, 3),
-    };
-    let pattern = TrafficPattern::poisson(12.0, 6);
-    let requests = pattern
-        .generate(&pool, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    let variants: [(&str, Option<LossProfile>, RepairPlacement); 3] = [
-        ("lossless", None, RepairPlacement::SourceOnly),
-        (
-            "source-only",
-            Some(LossProfile::iid(0.05, 0xFA)),
-            RepairPlacement::SourceOnly,
-        ),
-        (
-            "subtree-root",
-            Some(LossProfile::iid(0.05, 0xFA)),
-            RepairPlacement::SubtreeRoot,
-        ),
-    ];
-    for (variant, loss, repair) in variants {
-        let config = RunConfig {
-            loss,
-            repair,
-            ..RunConfig::default()
-        };
-        let engine = TrafficEngine::with_config(&pool, net, &config);
-        cases.push(time_case(
-            "lossy_soak",
-            format!("lossy_soak/{variant}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(engine.run(black_box(&requests)).expect("soak run succeeds"));
-            },
-        ));
-    }
-}
-
-/// Streaming soak: the `lossy_soak` pool re-offered as 8-chunk trains,
-/// once pipelined and once sequential, against the atomic anchor. The
-/// anchor-vs-pipelined gap prices the chunk-train machinery itself (8× the
-/// kernel events per session); the pipelined-vs-sequential pair tracks the
-/// cost of the settle-gated release discipline on the same event volume.
-fn stream_soak_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 2u64),
-        BaselineMode::Full => (256, 3),
-    };
-    let pattern = TrafficPattern::poisson(40.0, 6);
-    let requests = pattern
-        .generate(&pool, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    let variants: [(&str, Option<ChunkProfile>); 3] = [
-        ("atomic", None),
-        ("pipelined8", Some(ChunkProfile::new(8, 8))),
-        ("sequential8", Some(ChunkProfile::new(8, 8).sequential())),
-    ];
-    for (variant, chunks) in variants {
-        let config = RunConfig {
-            chunks,
-            ..RunConfig::default()
-        };
-        let engine = TrafficEngine::with_config(&pool, net, &config);
-        cases.push(time_case(
-            "stream_soak",
-            format!("stream_soak/{variant}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(engine.run(black_box(&requests)).expect("soak run succeeds"));
-            },
-        ));
-    }
-}
-
-/// Telemetry overhead over the `stream_soak` pipelined train (the
-/// workspace's event-densest scenario, 8× the kernel events per session):
-/// `off` re-times the untraced anchor inside this group so the pair shares
-/// one machine state; `sink` attaches an in-memory trace sink (every
-/// kernel event constructed, remapped and pushed); `timeseries` folds the
-/// same stream into the report's windowed telemetry section. The pinned
-/// claim is that `off` stays within 2% of `stream_soak/pipelined8` — the
-/// disabled path costs one `Option<&Recorder>` branch per emission site —
-/// while `sink`/`off` prices the active machinery on the trajectory.
-fn telemetry_overhead_cases(mode: BaselineMode, cases: &mut Vec<BaselineCase>) {
-    use hnow_telemetry::{MemorySink, TelemetryConfig};
-    use std::sync::Arc;
-    let net = NetParams::new(2);
-    let pool = NodePool::new(
-        two_class_table(),
-        MessageSize::from_kib(4),
-        match mode {
-            BaselineMode::Quick => &[16, 8],
-            BaselineMode::Full => &[32, 16],
-        },
-    )
-    .expect("soak pool is valid");
-    let (sessions, iters) = match mode {
-        BaselineMode::Quick => (64usize, 2u64),
-        BaselineMode::Full => (256, 3),
-    };
-    let pattern = TrafficPattern::poisson(40.0, 6);
-    let requests = pattern
-        .generate(&pool, sessions, 0xBEEF)
-        .expect("soak pattern is valid");
-    let sink = Arc::new(MemorySink::new());
-    let variants: [(&str, Option<TelemetryConfig>); 3] = [
-        ("off", None),
-        ("sink", Some(TelemetryConfig::new().with_sink(sink.clone()))),
-        (
-            "timeseries",
-            Some(TelemetryConfig::new().with_timeseries(64)),
-        ),
-    ];
-    for (variant, telemetry) in variants {
-        let config = RunConfig {
-            chunks: Some(ChunkProfile::new(8, 8)),
-            telemetry,
-            ..RunConfig::default()
-        };
-        let engine = TrafficEngine::with_config(&pool, net, &config);
-        cases.push(time_case(
-            "telemetry_overhead",
-            format!("telemetry_overhead/{variant}/{sessions}"),
-            sessions as u64,
-            iters,
-            || {
-                black_box(engine.run(black_box(&requests)).expect("soak run succeeds"));
-                // Keep the sink's buffer from growing across iterations —
-                // the measurement prices emission, not reallocation of an
-                // ever-larger Vec.
-                sink.take();
-            },
-        ));
-    }
 }
 
 /// How one baseline entry moved between two reports.
@@ -817,26 +441,9 @@ mod tests {
                 "dp_build/k2/64",
                 "dp_build/k4/8",
                 "dp_build/k3-widen/18",
-                "greedy/refined/256",
+                "greedy/refined/1024",
                 "branch_bound/exact/9",
-                "plan_many/greedy+dp/24",
-                "traffic_soak/greedy+leaf/64",
-                "traffic_soak/dp-optimal/64",
-                "sharded_soak/greedy+leaf/64",
-                "sharded_soak/dp-optimal/64",
-                "parallel_soak/threads1/256",
-                "parallel_soak/threads8/256",
-                "control_plane/admission-on/64",
-                "control_plane/admission-off/64",
-                "lossy_soak/lossless/64",
-                "lossy_soak/source-only/64",
-                "lossy_soak/subtree-root/64",
-                "stream_soak/atomic/64",
-                "stream_soak/pipelined8/64",
-                "stream_soak/sequential8/64",
-                "telemetry_overhead/off/64",
-                "telemetry_overhead/sink/64",
-                "telemetry_overhead/timeseries/64",
+                "plan_many/greedy+dp/168",
             ]
         );
         for case in &report.cases {
@@ -852,7 +459,7 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).unwrap();
         assert!(json.contains("\"schema\""));
         assert!(json.contains("dp_build/k2/16"));
-        assert!(json.contains("traffic_soak/greedy+leaf/64"));
+        assert!(json.contains("plan_many/greedy+dp/168"));
         // The artifact round-trips, which is what `--compare` relies on.
         let back: BaselineReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.cases.len(), report.cases.len());

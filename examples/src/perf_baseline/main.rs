@@ -6,8 +6,8 @@
 //! perf_baseline [--quick] [--out PATH] [--compare OLD.json] [--gate-factor F]
 //! ```
 //!
-//! `--quick` runs the small CI smoke grid (a few seconds); the default is the
-//! full trajectory grid. `--out` overrides the output path (default
+//! `--quick` runs the small CI smoke grid (well under a second), a subset of
+//! the full trajectory grid's cases; the default is the full grid. `--out` overrides the output path (default
 //! `BENCH_core.json` in the current directory). The report is also
 //! summarised on stdout, one line per case.
 //!
