@@ -39,6 +39,7 @@
 //! registry, so comparing schedulers is a loop, not a match:
 //!
 //! ```
+//! use hnow_core::lower_bound;
 //! use hnow_core::planner::{self, PlanRequest};
 //! use hnow_model::{MulticastSet, NetParams, NodeSpec};
 //!
@@ -55,10 +56,12 @@
 //! assert_eq!(greedy.reception_completion().raw(), 10);
 //! assert_eq!(refined.reception_completion().raw(), 8);
 //!
-//! // …or every planner whose capability envelope covers the instance.
+//! // …or every planner whose capability envelope covers the instance. The
+//! // always-valid lower bound belongs to the instance, not to a plan.
+//! let lb = lower_bound(&request.set, request.net);
 //! for p in planner::supporting_planners(&request.set) {
 //!     let plan = p.plan(&request).unwrap();
-//!     assert!(plan.reception_completion() >= plan.lower_bound.value);
+//!     assert!(plan.reception_completion() >= lb.value);
 //!     if plan.proven_optimal {
 //!         assert_eq!(plan.reception_completion().raw(), 8);
 //!     }

@@ -10,9 +10,10 @@
 //!   network parameters, the objective, the exact-search budget and the seed
 //!   consumed by randomized planners.
 //! * [`Plan`] — a planning result: the schedule tree, its full
-//!   [`ScheduleTiming`](crate::schedule::ScheduleTiming), the always-valid
-//!   lower bound, the Theorem 1 right-hand side, the name of the planner
-//!   that produced it, and whether optimality was proven.
+//!   [`ScheduleTiming`](crate::schedule::ScheduleTiming), the name of the
+//!   planner that produced it, and whether optimality was proven. The
+//!   instance-level bounds of [`bounds`](crate::bounds) are computed by the
+//!   callers that want them.
 //! * [`Planner`] — the trait implemented by every algorithm, with
 //!   [`Capabilities`] metadata (exact vs. approximate, instance-size and
 //!   heterogeneity limits) that callers use to decide applicability.
@@ -27,6 +28,7 @@
 //! ## Example
 //!
 //! ```
+//! use hnow_core::lower_bound;
 //! use hnow_core::planner::{self, PlanRequest};
 //! use hnow_model::{MulticastSet, NetParams, NodeSpec};
 //!
@@ -34,11 +36,12 @@
 //! let fast = NodeSpec::new(1, 1);
 //! let set = MulticastSet::new(slow, vec![fast, fast, fast, slow]).unwrap();
 //! let request = PlanRequest::new(set, NetParams::new(1));
+//! let lb = lower_bound(&request.set, request.net);
 //!
 //! for p in planner::registry() {
 //!     if p.capabilities().supports(&request.set) {
 //!         let plan = p.plan(&request).unwrap();
-//!         assert!(plan.reception_completion() >= plan.lower_bound.value);
+//!         assert!(plan.reception_completion() >= lb.value);
 //!     }
 //! }
 //! ```

@@ -5,7 +5,6 @@ use crate::algorithms::baselines::{
 };
 use crate::algorithms::greedy::{greedy_with_options, GreedyOptions};
 use crate::algorithms::optimal;
-use crate::bounds::{lower_bound, theorem1_bound};
 use crate::error::CoreError;
 use crate::planner::batch::PlanContext;
 use crate::planner::request::{Plan, PlanRequest};
@@ -90,8 +89,8 @@ impl PlannedTree {
 /// A multicast scheduling algorithm under the unified planning facade.
 ///
 /// Implementors only construct trees ([`Planner::construct`]); the provided
-/// [`Planner::plan`] wraps the tree with timing, bounds and provenance into
-/// a [`Plan`]. All planners are stateless unit structs, so the registry can
+/// [`Planner::plan`] wraps the tree with its timing and provenance into a
+/// [`Plan`]. All planners are stateless unit structs, so the registry can
 /// hand out `&'static dyn Planner` references.
 pub trait Planner: Send + Sync {
     /// Stable name of the planner, used for registry lookup and reports.
@@ -115,15 +114,11 @@ pub trait Planner: Send + Sync {
     fn plan_with(&self, request: &PlanRequest, ctx: &PlanContext) -> Result<Plan, CoreError> {
         let planned = self.construct(request, ctx)?;
         let timing = evaluate(&planned.tree, &request.set, request.net)?;
-        let lb = lower_bound(&request.set, request.net);
-        let t1 = theorem1_bound(&request.set, timing.reception_completion());
         Ok(Plan {
             planner: self.name(),
             tree: planned.tree,
             timing,
             objective: request.objective,
-            lower_bound: lb,
-            theorem1_bound: t1,
             proven_optimal: planned.proven_optimal,
         })
     }
@@ -391,6 +386,7 @@ pub fn supporting_planners(set: &MulticastSet) -> Vec<&'static dyn Planner> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{lower_bound, theorem1_bound};
     use crate::schedule::validate::validate;
     use hnow_model::{NetParams, NodeSpec};
 
@@ -427,6 +423,7 @@ mod tests {
     #[test]
     fn every_planner_builds_a_valid_plan_on_figure1() {
         let request = figure1_request();
+        let lb = lower_bound(&request.set, request.net);
         for p in registry() {
             assert!(p.capabilities().supports(&request.set), "{}", p.name());
             let plan = p.plan(&request).unwrap_or_else(|e| {
@@ -434,11 +431,12 @@ mod tests {
             });
             assert_eq!(plan.planner, p.name());
             validate(&plan.tree, &request.set).unwrap();
-            assert!(plan.reception_completion() >= plan.lower_bound.value);
+            assert!(plan.reception_completion() >= lb.value);
             // Any achieved completion upper-bounds OPT, so the Theorem 1
             // right-hand side evaluated at it stays above the plan itself
             // whenever the multiplicative factor is at least one.
-            assert!(plan.theorem1_bound >= plan.reception_completion().as_f64());
+            let t1 = theorem1_bound(&request.set, plan.reception_completion());
+            assert!(t1 >= plan.reception_completion().as_f64());
         }
     }
 

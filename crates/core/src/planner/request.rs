@@ -1,7 +1,6 @@
 //! Planning problems and planning results.
 
 use crate::algorithms::optimal::{Objective, SearchOptions};
-use crate::bounds::LowerBound;
 use crate::schedule::{ScheduleTiming, ScheduleTree};
 use hnow_model::{MulticastSet, NetParams, Time};
 
@@ -94,6 +93,13 @@ impl PlanRequest {
 }
 
 /// The result of planning one request with one planner.
+///
+/// A plan holds what the planner decided and how that schedule times out.
+/// Instance-level bounds are not part of it: the always-valid
+/// [`lower_bound`](crate::bounds::lower_bound) depends only on the request,
+/// and the Theorem 1 right-hand side
+/// [`theorem1_bound`](crate::bounds::theorem1_bound) on the instance and a
+/// completion time, so callers that print or check them compute them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Stable name of the planner that produced this plan (provenance).
@@ -104,14 +110,6 @@ pub struct Plan {
     pub timing: ScheduleTiming,
     /// The objective the plan was requested under.
     pub objective: Objective,
-    /// Always-valid lower bound on the optimal reception completion time of
-    /// the instance (independent of the planner).
-    pub lower_bound: LowerBound,
-    /// The Theorem 1 right-hand side `C·x + β` evaluated at this plan's own
-    /// reception completion time `x`. Any achieved completion is an upper
-    /// bound on `OPT_R`, so the plain greedy planner's completion is
-    /// guaranteed to stay below this number.
-    pub theorem1_bound: f64,
     /// Whether the planner proved this plan optimal for the objective (the
     /// DP inside its heterogeneity limit, branch-and-bound within budget).
     pub proven_optimal: bool,

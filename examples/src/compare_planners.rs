@@ -5,6 +5,7 @@
 //! Run with `cargo run -p hnow-examples --bin compare_planners [destinations]`.
 
 use hnow_core::planner::{self, supporting_planners, PlanRequest};
+use hnow_core::{lower_bound, theorem1_bound};
 use hnow_experiments::comparison::{run_sweep, table, DEFAULT_PLANNERS};
 use hnow_model::{MulticastSet, NetParams, NodeSpec};
 use hnow_workload::Sweep;
@@ -38,6 +39,7 @@ fn main() {
     let fast = NodeSpec::new(1, 1);
     let set = MulticastSet::new(slow, vec![fast, fast, fast, slow]).expect("valid instance");
     let request = PlanRequest::new(set, NetParams::new(1)).with_seed(7);
+    let lb = lower_bound(&request.set, request.net);
     println!(
         "{:<14} {:>5} {:>5} {:>8} {:>10}  theorem-1 rhs",
         "planner", "R_T", "D_T", "proven", "lower bnd"
@@ -50,8 +52,8 @@ fn main() {
             plan.reception_completion().raw(),
             plan.delivery_completion().raw(),
             if plan.proven_optimal { "yes" } else { "no" },
-            plan.lower_bound.value.raw(),
-            plan.theorem1_bound
+            lb.value.raw(),
+            theorem1_bound(&request.set, plan.reception_completion())
         );
     }
 

@@ -5,7 +5,7 @@
 //! Run with `cargo run -p hnow-examples --bin quickstart`.
 
 use hnow_core::planner::{self, PlanRequest};
-use hnow_core::stats;
+use hnow_core::{lower_bound, stats};
 use hnow_model::{MulticastSet, NetParams, NodeId, NodeSpec};
 use hnow_sim::execute;
 
@@ -51,7 +51,7 @@ fn main() {
     println!("layered: {}", s.layered);
     println!(
         "always-valid lower bound on OPT_R: {}",
-        plan.lower_bound.value
+        lower_bound(&set, net).value
     );
     println!();
 

@@ -21,7 +21,7 @@
 //! planner or evaluator change that breaks a theorem or diverges from the
 //! simulator fails here with the scenario name in the message.
 
-use hnow_core::bounds::theorem1_bound;
+use hnow_core::bounds::{lower_bound, theorem1_bound};
 use hnow_core::planner::{
     find, plan_many, plan_many_with, registry, supporting_planners, Plan, PlanContext, PlanRequest,
     Planner,
@@ -183,15 +183,10 @@ fn theorem1_bound_and_lower_bounds_hold() {
         let mut greedy_completion: Option<Time> = None;
         let mut best_completion: Option<Time> = None;
         let mut proven_optimum: Option<Time> = None;
-        let lb = plans[0].lower_bound;
+        let lb = lower_bound(&scenario.set, scenario.net);
 
         for plan in &plans {
             let completion = plan.timing.reception_completion();
-            assert_eq!(
-                plan.lower_bound, lb,
-                "{}: lower bound is instance-level, not planner-level",
-                scenario.name
-            );
             assert!(
                 completion >= lb.value,
                 "{}: {} completed at {completion}, below the lower bound {}",
