@@ -253,6 +253,77 @@ mod tests {
         assert_eq!(moves[0].class, 0);
     }
 
+    /// Every small cluster shape, replayed move by move: the sharded
+    /// service picks a concrete node of `mv.class` in shard `mv.from` for
+    /// each move and panics if there is none, so each proposal must be
+    /// feasible on the counts left by the moves before it.
+    #[test]
+    fn never_proposes_a_move_the_cluster_cannot_carry_out() {
+        const CLASSES: usize = 2;
+        const MAX_COUNT: usize = 3;
+        let mut decisions = 0usize;
+        let mut moves_checked = 0usize;
+        for shards in 2..=3usize {
+            let cells = shards * CLASSES;
+            for code in 0..(MAX_COUNT + 1).pow(cells as u32) {
+                let mut rest = code;
+                let counts: Vec<Vec<usize>> = (0..shards)
+                    .map(|_| {
+                        (0..CLASSES)
+                            .map(|_| {
+                                let count = rest % (MAX_COUNT + 1);
+                                rest /= MAX_COUNT + 1;
+                                count
+                            })
+                            .collect()
+                    })
+                    .collect();
+                for max_moves in 1..=4 {
+                    for min_shard_nodes in 0..=2 {
+                        for hot in 0..shards {
+                            let mut rb = Rebalancer::new(RebalanceConfig {
+                                enter_gap: 1.0,
+                                exit_gap: 0.5,
+                                max_moves,
+                                min_shard_nodes,
+                            });
+                            let mut delays = vec![0.0; shards];
+                            delays[hot] = 100.0;
+                            let moves = rb.decide(&delays, &counts);
+                            decisions += 1;
+                            assert!(moves.len() <= max_moves);
+                            let mut left = counts.clone();
+                            for mv in moves {
+                                assert_eq!(
+                                    mv.from, hot,
+                                    "{counts:?}: a move must leave the hot shard"
+                                );
+                                assert_ne!(mv.to, hot);
+                                assert!(
+                                    left[mv.from][mv.class] > 0,
+                                    "{counts:?}, max_moves {max_moves}, floor \
+                                     {min_shard_nodes}: {mv:?} moves a class shard {} no \
+                                     longer holds",
+                                    mv.from
+                                );
+                                left[mv.from][mv.class] -= 1;
+                                left[mv.to][mv.class] += 1;
+                                assert!(
+                                    left[hot].iter().sum::<usize>() >= min_shard_nodes,
+                                    "{counts:?}: {mv:?} shrinks the hot shard below \
+                                     {min_shard_nodes} nodes"
+                                );
+                                moves_checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(decisions, 153_600);
+        assert!(moves_checked > 0, "the grid must exercise some moves");
+    }
+
     #[test]
     fn single_shard_clusters_never_rebalance() {
         let mut rb = Rebalancer::new(config(0.0, 0.0, 5));

@@ -289,7 +289,7 @@ impl PlanCache {
                     .iter()
                     .min_by_key(|(_, (stamp, _))| *stamp)
                     .map(|(key, _)| key.clone())
-                    .expect("cache over capacity is non-empty");
+                    .expect("invariant: len > cap >= 1, so the map has an oldest entry");
                 self.map.remove(&oldest);
                 self.evictions += 1;
             }
@@ -626,9 +626,9 @@ impl<'a> ShardedCluster<'a> {
                     let dense_busy0: Vec<Time> = touched.iter().map(|&g| busy_until[g]).collect();
                     for runtime in &mut runtimes {
                         for node in &mut runtime.node_map {
-                            *node = touched
-                                .binary_search(node)
-                                .expect("a session's nodes are in its component");
+                            *node = touched.binary_search(node).expect(
+                                "invariant: `touched` holds every node of the component's sessions",
+                            );
                         }
                     }
                     let faults = self.config.loss.as_ref().map(|profile| kernel::FaultCtx {
@@ -733,7 +733,11 @@ impl<'a> ShardedCluster<'a> {
                             .copied()
                             .filter(|&g| map.class_of(g) == mv.class)
                             .min_by_key(|&g| (busy_time[g], g))
-                            .expect("the rebalancer only moves populated classes");
+                            .expect(
+                                "invariant: the rebalancer moves only classes the hot shard \
+                                 still holds (pinned by hnow_control::rebalance's \
+                                 never_proposes_a_move_the_cluster_cannot_carry_out test)",
+                            );
                         map = map.migrate(node, mv.to).map_err(SimError::Sharding)?;
                         // Cached plans are keyed by class signature over the
                         // shared class table, so the only entries migration
