@@ -1,40 +1,13 @@
 //! The unified run configuration.
 //!
-//! Before this module, every execution surface grew its own config type:
-//! the flat engine took a `TrafficConfig`, the sharded service wrapped
-//! that in a `ShardedClusterConfig`, the control plane bolted a
-//! [`ControlConfig`] onto the side, and loss, repair and chunk profiles
-//! threaded through whichever of those happened to reach the engine.
-//! [`RunConfig`] is the one builder-style surface over all of them: pick a
-//! planner, dial loss/repair, stamp a default chunk profile, opt into
-//! sharding or the control plane, and pin a thread count — then hand the
-//! same value to
+//! [`RunConfig`] is the one builder-style configuration of every execution
+//! surface: pick a planner, dial loss/repair, stamp a default chunk
+//! profile, opt into sharding or the control plane ([`ControlConfig`]),
+//! and pin a thread count — then hand the same value to
 //! [`TrafficEngine::with_config`](crate::sessions::TrafficEngine::with_config)
 //! or
 //! [`ShardedCluster::with_config`](crate::cluster::ShardedCluster::with_config).
 //! Both run the one session pipeline and keep the `RunConfig` itself.
-//!
-//! # Migration
-//!
-//! The pre-unification constructors, the per-surface config structs and
-//! the per-surface report types are gone. Ports are mechanical:
-//!
-//! | before | after |
-//! |---|---|
-//! | `TrafficEngine::new(p, n, TrafficConfig::default())` | `TrafficEngine::with_config(p, n, &RunConfig::default())` |
-//! | `TrafficEngine::new(p, n, TrafficConfig::for_planner("fnf"))` | `TrafficEngine::with_config(p, n, &RunConfig::for_planner("fnf"))` |
-//! | `ShardedCluster::new(p, n, ShardedClusterConfig::with_shards(4))` | `ShardedCluster::with_config(p, n, &RunConfig::default().sharded(4))` |
-//! | `config.traffic.loss = Some(profile)` | `RunConfig::default().with_loss(profile)` |
-//! | `config.control = Some(control)` | `.with_control(control)` |
-//! | `TrafficConfig { planner, batch_size, dp_cache_capacity, loss, repair, chunks }` | the same-named [`RunConfig`] fields |
-//! | `ShardedClusterConfig { shards, traffic, plan_cache, plan_cache_capacity, control }` | the same-named [`RunConfig`] fields (`traffic.*` flattened) |
-//! | `run.traffic()` / `run.cluster()` | read the [`RunConfig`] fields directly; `shards` 0 still means one shard |
-//! | `.with_batch_size(n)` | none: no engine reads [`RunConfig::batch_size`]; set the field if a caller of your own reads it |
-//! | `ShardedTrafficReport` (schema 5) | [`TrafficReport`](crate::sessions::TrafficReport) (schema 6), returned by both engines |
-//! | flat `TrafficReport` fields `completed`, `makespan`, `p99_reception_latency`, … | `report.total.*` |
-//! | flat `TrafficReport.cache` | `report.per_shard[0].dp_cache` |
-//! | `ShardedSessionRecord.record.*` | the same fields directly on [`SessionRecord`](crate::sessions::SessionRecord) |
-//! | `ShardedSessionRecord.shards` / `.cross` | `home_shard` + `remote_shards`; `SessionRecord::cross()` |
 
 use crate::cluster::ControlConfig;
 use crate::error::SimError;
@@ -65,8 +38,7 @@ pub(crate) fn install_pool<T: Send>(
 /// pipeline: the flat [`TrafficEngine`](crate::sessions::TrafficEngine)
 /// forces one shard, the [`ShardedCluster`](crate::cluster::ShardedCluster)
 /// partitions the pool into [`RunConfig::shards`] shards; every other
-/// field means the same on both. See the [module docs](self) for the
-/// migration table.
+/// field means the same on both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Registry name of the planner serving every session and every

@@ -2,13 +2,9 @@
 //! session pipeline's component simulation ([`crate::cluster`]) and the
 //! single-schedule [`kernel_replay`](crate::perturb::kernel_replay).
 //!
-//! Before unification the flat and sharded engines ran hand-rolled copies
-//! of this loop whose same-instant tie-breaks had drifted apart (eager vs
-//! lazy arrival injection, fused vs re-queued receive claims, per-claim vs
-//! armed wake-ups), so the same request vector could produce different
-//! reports depending on which engine served it. This module is now the
-//! only event loop in the crate; every caller feeds it [`SessionRuntime`]s
-//! and gets the identical occupancy semantics.
+//! This module is the only event loop in the crate; every caller feeds it
+//! [`SessionRuntime`]s and gets the identical occupancy semantics, so a
+//! request vector produces the same report whichever engine serves it.
 //!
 //! # The tie-break rule
 //!
