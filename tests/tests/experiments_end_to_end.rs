@@ -1,7 +1,22 @@
-//! Smoke test: the full experiment suite (reduced scale) runs end to end
-//! and every headline claim holds.
+//! Smoke test: the full experiment suite (reduced scale) runs end to end,
+//! every headline claim holds, and the deterministic tables match
+//! `tests/golden/experiments.md` byte for byte.
+//!
+//! E2 and E11 report wall-clock running times, so they are left out of the
+//! golden. To accept an intended change to the other tables, regenerate it
+//! with
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test -p hnow-integration --test experiments_end_to_end
+//! ```
+//!
+//! and review the diff.
 
 use hnow_experiments::{render_markdown, run_all};
+use std::path::PathBuf;
+
+/// Experiments whose tables or headlines carry wall-clock readings.
+const TIMED: [&str; 2] = ["E2", "E11"];
 
 #[test]
 fn all_experiments_run_and_report() {
@@ -23,4 +38,45 @@ fn all_experiments_run_and_report() {
     assert!(!e3.headline.contains("violat") || e3.headline.contains("held"));
     let e9 = reports.iter().find(|r| r.id == "E9").unwrap();
     assert!(e9.headline.contains("yes"));
+
+    let pinned: Vec<_> = reports
+        .into_iter()
+        .filter(|r| !TIMED.contains(&r.id))
+        .collect();
+    assert_eq!(pinned.len(), 11);
+    compare_golden("experiments.md", &render_markdown(&pinned));
+}
+
+/// Compares `text` with `tests/golden/<file>`, or rewrites the file under
+/// `UPDATE_GOLDEN=1`.
+fn compare_golden(file: &str, text: &str) {
+    let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", file]
+        .iter()
+        .collect();
+    if std::env::var("UPDATE_GOLDEN").as_deref() == Ok("1") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+        panic!(
+            "{}: {err}; run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    if golden != text {
+        let line = golden
+            .lines()
+            .zip(text.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| golden.lines().count().min(text.lines().count()));
+        panic!(
+            "{file} differs from {} at line {}: golden {:?}, now {:?}; \
+             rerun with UPDATE_GOLDEN=1 and review the diff if the change is intended",
+            path.display(),
+            line + 1,
+            golden.lines().nth(line),
+            text.lines().nth(line)
+        );
+    }
 }
