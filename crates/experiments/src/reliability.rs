@@ -22,11 +22,9 @@
 use crate::table::Table;
 use hnow_core::RepairPlacement;
 use hnow_model::NetParams;
-use hnow_sim::{LossProfile, RunConfig, TrafficEngine};
+use hnow_sim::{BurstProfile, LossProfile, RunConfig, TrafficEngine};
 use hnow_workload::traffic::NodePool;
-use hnow_workload::{
-    default_message_size, two_class_table, GroupSizeDist, LossyPattern, TrafficPattern,
-};
+use hnow_workload::{default_message_size, two_class_table, GroupSizeDist, TrafficPattern};
 use serde::Serialize;
 
 /// Repairer placements swept by the study (registry names; `gateway` is a
@@ -104,6 +102,27 @@ impl Default for ReliabilityStudyConfig {
     }
 }
 
+impl ReliabilityStudyConfig {
+    /// The loss profile of the points at base rate `rate`: the preset's
+    /// retry envelope and fault seed, with burst windows only when `rate`
+    /// and the burst frequency are both positive, so the rate-0 row stays
+    /// lossless.
+    fn loss(&self, rate: f64) -> LossProfile {
+        LossProfile {
+            rate,
+            burst: (rate > 0.0 && self.burst_frequency > 0.0).then_some(BurstProfile {
+                frequency: self.burst_frequency,
+                rate: self.burst_rate,
+                bucket: self.burst_bucket,
+            }),
+            max_retries: self.max_retries,
+            backoff: self.backoff,
+            repair_deadline: self.repair_deadline,
+            seed: self.fault_seed,
+        }
+    }
+}
+
 /// One `(loss rate, placement)` outcome on the shared request vector.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReliabilityPoint {
@@ -152,29 +171,10 @@ pub fn run(config: &ReliabilityStudyConfig) -> Vec<ReliabilityPoint> {
 
     let mut points = Vec::new();
     for &rate in &config.rates {
-        // The scenario value the workload crate ships around: the offered
-        // pattern plus the loss envelope, lifted into the simulator's
-        // profile by the `From` conversion.
-        let scenario = LossyPattern {
-            rate,
-            per_class: None,
-            burst_frequency: if rate > 0.0 {
-                config.burst_frequency
-            } else {
-                0.0
-            },
-            burst_rate: config.burst_rate,
-            burst_bucket: config.burst_bucket,
-            max_retries: config.max_retries,
-            backoff: config.backoff,
-            repair_deadline: config.repair_deadline,
-            fault_seed: config.fault_seed,
-            base: base.clone(),
-        };
         for placement in PLACEMENTS {
             let traffic = RunConfig {
                 planner: config.planner.clone(),
-                loss: Some(LossProfile::from(&scenario)),
+                loss: Some(config.loss(rate)),
                 repair: RepairPlacement::from_name(placement).expect("swept placement exists"),
                 ..RunConfig::default()
             };
@@ -340,22 +340,10 @@ mod tests {
             ..TrafficPattern::poisson(config.mean_gap, config.group.0)
         };
         let requests = base.generate(&pool, config.sessions, config.seed).unwrap();
-        let scenario = LossyPattern {
-            rate: 0.05,
-            per_class: None,
-            burst_frequency: config.burst_frequency,
-            burst_rate: config.burst_rate,
-            burst_bucket: config.burst_bucket,
-            max_retries: config.max_retries,
-            backoff: config.backoff,
-            repair_deadline: config.repair_deadline,
-            fault_seed: config.fault_seed,
-            base: base.clone(),
-        };
         let sink = Arc::new(MemorySink::new());
         let traffic = RunConfig {
             planner: config.planner.clone(),
-            loss: Some(LossProfile::from(&scenario)),
+            loss: Some(config.loss(0.05)),
             repair: RepairPlacement::SubtreeRoot,
             ..RunConfig::default()
         }

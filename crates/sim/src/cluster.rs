@@ -621,8 +621,6 @@ impl<'a> ShardedCluster<'a> {
                     touched.sort_unstable();
                     touched.dedup();
                     let dense_specs: Vec<NodeSpec> = touched.iter().map(|&g| specs[g]).collect();
-                    let dense_class: Vec<usize> =
-                        touched.iter().map(|&g| self.pool.class_of(g)).collect();
                     let dense_busy0: Vec<Time> = touched.iter().map(|&g| busy_until[g]).collect();
                     for runtime in &mut runtimes {
                         for node in &mut runtime.node_map {
@@ -631,10 +629,6 @@ impl<'a> ShardedCluster<'a> {
                             );
                         }
                     }
-                    let faults = self.config.loss.as_ref().map(|profile| kernel::FaultCtx {
-                        profile,
-                        class_of: &dense_class,
-                    });
                     let buffer = buffered.then(MemorySink::new);
                     let recorder = trace.as_ref().map(|t| {
                         let sinks = match &buffer {
@@ -650,7 +644,7 @@ impl<'a> ShardedCluster<'a> {
                         self.net,
                         &mut runtimes,
                         &dense_busy0,
-                        faults.as_ref(),
+                        self.config.loss.as_ref(),
                         recorder.as_ref(),
                     );
                     let horizons = touched

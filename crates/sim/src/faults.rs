@@ -4,7 +4,7 @@
 //! arrives. [`LossProfile`] adds the missing failure axis: each delivery
 //! (original or repair retransmission) is independently lost with a
 //! configured probability, optionally elevated during Gilbert-style burst
-//! windows and overridden per receiver class.
+//! windows.
 //!
 //! # The determinism contract for loss draws
 //!
@@ -27,7 +27,6 @@
 //! a run with no loss configured.
 
 use hnow_model::Time;
-use hnow_workload::LossyPattern;
 use serde::{Deserialize, Serialize};
 
 /// Gilbert-style burst losses: windows of elevated loss probability.
@@ -58,9 +57,6 @@ pub struct BurstProfile {
 pub struct LossProfile {
     /// Base iid probability that a delivery is lost (clamped to `[0, 1]`).
     pub rate: f64,
-    /// Optional per-receiver-class overrides of the base rate (indexed by
-    /// workstation class; classes beyond the vector keep the base rate).
-    pub per_class: Option<Vec<f64>>,
     /// Optional burst windows layered over the base rate.
     pub burst: Option<BurstProfile>,
     /// Retransmissions a receiver may request before it is given up on and
@@ -83,12 +79,11 @@ pub struct LossProfile {
 }
 
 impl LossProfile {
-    /// A plain iid profile: the given loss rate, no class overrides, no
-    /// bursts, 8 retries, backoff 4.
+    /// A plain iid profile: the given loss rate, no bursts, 8 retries,
+    /// backoff 4.
     pub fn iid(rate: f64, seed: u64) -> Self {
         LossProfile {
             rate,
-            per_class: None,
             burst: None,
             max_retries: 8,
             backoff: 4,
@@ -107,21 +102,15 @@ impl LossProfile {
     /// makes the kernel's fault path draw-free, which is what keeps a
     /// rate-0 run byte-identical to an unfaulted one.
     pub fn is_lossless(&self) -> bool {
-        let base = self.rate <= 0.0;
-        let classes = self
-            .per_class
-            .as_ref()
-            .is_none_or(|rates| rates.iter().all(|&r| r <= 0.0));
-        let burst = self
-            .burst
-            .is_none_or(|b| b.frequency <= 0.0 || b.rate <= 0.0);
-        base && classes && burst
+        self.rate <= 0.0
+            && self
+                .burst
+                .is_none_or(|b| b.frequency <= 0.0 || b.rate <= 0.0)
     }
 
     /// Whether the delivery `sender -> receiver` (tree-local ids) of
     /// `session`'s attempt `attempt` (0 = the original transmission,
-    /// 1..=max_retries = repairs) sent at time `at` to a receiver of class
-    /// `receiver_class` is lost.
+    /// 1..=max_retries = repairs) sent at time `at` is lost.
     pub fn lost(
         &self,
         session: u64,
@@ -129,12 +118,8 @@ impl LossProfile {
         receiver: usize,
         attempt: u32,
         at: Time,
-        receiver_class: usize,
     ) -> bool {
-        let mut rate = match &self.per_class {
-            Some(rates) => rates.get(receiver_class).copied().unwrap_or(self.rate),
-            None => self.rate,
-        };
+        let mut rate = self.rate;
         if let Some(burst) = &self.burst {
             let bucket = at.raw() / burst.bucket.max(1);
             if unit(hash(&[self.seed, 0xb5, session, sender as u64, bucket])) < burst.frequency {
@@ -177,28 +162,6 @@ impl LossProfile {
 /// Retry attempts past the seventh stop doubling the backoff.
 const MAX_BACKOFF_SHIFT: u32 = 6;
 
-impl From<&LossyPattern> for LossProfile {
-    /// Lifts a workload-level [`LossyPattern`]'s loss parameters into the
-    /// simulator's fault model (the workload crate cannot depend on this
-    /// one, so the wrapper carries plain fields and this conversion binds
-    /// them).
-    fn from(pattern: &LossyPattern) -> Self {
-        LossProfile {
-            rate: pattern.rate,
-            per_class: pattern.per_class.clone(),
-            burst: (pattern.burst_frequency > 0.0).then_some(BurstProfile {
-                frequency: pattern.burst_frequency,
-                rate: pattern.burst_rate,
-                bucket: pattern.burst_bucket,
-            }),
-            max_retries: pattern.max_retries,
-            backoff: pattern.backoff,
-            repair_deadline: pattern.repair_deadline,
-            seed: pattern.fault_seed,
-        }
-    }
-}
-
 /// SplitMix64-style keyed hash over a word sequence: statistically uniform,
 /// stable across platforms, and a pure function of its key.
 fn hash(words: &[u64]) -> u64 {
@@ -229,22 +192,22 @@ mod tests {
     #[test]
     fn draws_are_pure_functions_of_their_keys() {
         let profile = LossProfile::iid(0.3, 7);
-        let a = profile.lost(3, 0, 5, 1, Time::new(100), 0);
+        let a = profile.lost(3, 0, 5, 1, Time::new(100));
         for _ in 0..5 {
-            assert_eq!(profile.lost(3, 0, 5, 1, Time::new(100), 0), a);
+            assert_eq!(profile.lost(3, 0, 5, 1, Time::new(100)), a);
         }
         // Any key component changes the draw stream somewhere.
         let draws = |f: &dyn Fn(u64) -> bool| (0..2000).map(f).filter(|&l| l).count();
-        let base = draws(&|i| profile.lost(i, 0, 5, 1, Time::new(100), 0));
-        let other_receiver = draws(&|i| profile.lost(i, 0, 6, 1, Time::new(100), 0));
-        let other_attempt = draws(&|i| profile.lost(i, 0, 5, 2, Time::new(100), 0));
+        let base = draws(&|i| profile.lost(i, 0, 5, 1, Time::new(100)));
+        let other_receiver = draws(&|i| profile.lost(i, 0, 6, 1, Time::new(100)));
+        let other_attempt = draws(&|i| profile.lost(i, 0, 5, 2, Time::new(100)));
         assert!(base > 0);
         assert_ne!(
             (0..2000)
-                .map(|i| profile.lost(i, 0, 5, 1, Time::new(100), 0))
+                .map(|i| profile.lost(i, 0, 5, 1, Time::new(100)))
                 .collect::<Vec<_>>(),
             (0..2000)
-                .map(|i| profile.lost(i, 0, 6, 1, Time::new(100), 0))
+                .map(|i| profile.lost(i, 0, 6, 1, Time::new(100)))
                 .collect::<Vec<_>>(),
         );
         // Rates stay statistical, not positional.
@@ -258,7 +221,7 @@ mod tests {
         let profile = LossProfile::iid(0.0, 9);
         assert!(profile.is_lossless());
         for session in 0..100 {
-            assert!(!profile.lost(session, 0, 1, 0, Time::new(session), 0));
+            assert!(!profile.lost(session, 0, 1, 0, Time::new(session)));
         }
         assert!(!LossProfile::iid(0.1, 9).is_lossless());
         let bursty = LossProfile::iid(0.0, 9).with_burst(BurstProfile {
@@ -273,29 +236,6 @@ mod tests {
             bucket: 16,
         });
         assert!(dead_burst.is_lossless());
-        let class_override = LossProfile {
-            per_class: Some(vec![0.0, 0.2]),
-            ..LossProfile::iid(0.0, 9)
-        };
-        assert!(!class_override.is_lossless());
-    }
-
-    #[test]
-    fn per_class_overrides_apply_to_the_receiver_class() {
-        let profile = LossProfile {
-            per_class: Some(vec![0.0, 1.0]),
-            ..LossProfile::iid(0.5, 3)
-        };
-        for session in 0..50 {
-            assert!(!profile.lost(session, 0, 1, 0, Time::ZERO, 0));
-            assert!(profile.lost(session, 0, 1, 0, Time::ZERO, 1));
-            // A class beyond the override vector keeps the base rate.
-            let _ = profile.lost(session, 0, 1, 0, Time::ZERO, 7);
-        }
-        let lost_base = (0..2000)
-            .filter(|&s| profile.lost(s, 0, 1, 0, Time::ZERO, 7))
-            .count();
-        assert!((800..1200).contains(&lost_base), "base ~50%: {lost_base}");
     }
 
     #[test]
@@ -308,14 +248,14 @@ mod tests {
         // Same edge and attempt across many time buckets: bursting buckets
         // lose far more often than the 2% base.
         let lost = (0..4000u64)
-            .filter(|&b| profile.lost(1, 0, 2, 0, Time::new(b * 32), 0))
+            .filter(|&b| profile.lost(1, 0, 2, 0, Time::new(b * 32)))
             .count();
         // Expectation ≈ 0.25·0.95 + 0.75·0.02 ≈ 0.25.
         assert!((700..1300).contains(&lost), "burst mixture, got {lost}");
         // Draws within one bucket share the window decision; the loss draw
         // itself still varies by attempt.
         let in_bucket: Vec<bool> = (0..4u32)
-            .map(|attempt| profile.lost(1, 0, 2, attempt, Time::new(5), 0))
+            .map(|attempt| profile.lost(1, 0, 2, attempt, Time::new(5)))
             .collect();
         assert_eq!(in_bucket.len(), 4);
     }
@@ -352,24 +292,5 @@ mod tests {
             ..profile
         };
         assert_eq!(zero.retry_delay(9, 3, 1), 0);
-    }
-
-    #[test]
-    fn lossy_pattern_lifts_into_a_profile() {
-        use hnow_workload::TrafficPattern;
-        let pattern = LossyPattern::iid(TrafficPattern::poisson(8.0, 4), 0.05, 13);
-        let profile = LossProfile::from(&pattern);
-        assert_eq!(profile.rate, 0.05);
-        assert_eq!(profile.seed, 13);
-        assert!(profile.burst.is_none());
-        let mut bursty = pattern;
-        bursty.burst_frequency = 0.2;
-        bursty.burst_rate = 0.8;
-        bursty.burst_bucket = 64;
-        let profile = LossProfile::from(&bursty);
-        let burst = profile.burst.unwrap();
-        assert_eq!(burst.frequency, 0.2);
-        assert_eq!(burst.rate, 0.8);
-        assert_eq!(burst.bucket, 64);
     }
 }

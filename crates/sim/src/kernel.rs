@@ -84,8 +84,8 @@
 //!
 //! # Loss and repair
 //!
-//! With a [`FaultCtx`] the kernel injects message loss and runs NACK-driven
-//! local repair:
+//! With a [`LossProfile`] the kernel injects message loss and runs
+//! NACK-driven local repair:
 //!
 //! * **Loss.** Every delivery — original send or repair — draws from the
 //!   [`LossProfile`], keyed by `(session, sender, receiver, attempt)` and
@@ -344,14 +344,6 @@ impl RadixQueue {
     }
 }
 
-/// Fault-injection context of one kernel run: the loss profile plus the
-/// receiver-class table for per-class rate overrides (indexed by the same
-/// dense node id space as `specs`).
-pub(crate) struct FaultCtx<'a> {
-    pub(crate) profile: &'a LossProfile,
-    pub(crate) class_of: &'a [usize],
-}
-
 /// The fault-model session key of one chunk. Chunk 0 keys exactly like the
 /// atomic session — so a `chunks == 1` run draws bit-identical losses to
 /// the unchunked path — while every later chunk mixes its index in, giving
@@ -439,17 +431,17 @@ pub(crate) struct CarryOut {
 /// `sessions` must be in request order — the slice position is the
 /// tie-break identity of rule 1, so two callers handing the kernel the same
 /// sessions in the same order get byte-identical outcomes regardless of how
-/// the surrounding work was partitioned or threaded. `faults` switches on
-/// loss injection and NACK-driven repair (see the module docs).
+/// the surrounding work was partitioned or threaded. `loss` switches on
+/// message loss and NACK-driven repair (see the module docs).
 pub(crate) fn simulate(
     specs: &[NodeSpec],
     net: NetParams,
     sessions: &mut [SessionRuntime],
-    faults: Option<&FaultCtx<'_>>,
+    loss: Option<&LossProfile>,
     trace: Option<&Recorder<'_>>,
 ) -> Vec<u64> {
     let idle = vec![Time::ZERO; specs.len()];
-    simulate_from(specs, net, sessions, &idle, faults, trace).busy_time
+    simulate_from(specs, net, sessions, &idle, loss, trace).busy_time
 }
 
 /// [`simulate`] with carried-in busy state: `busy0[node]` is the node's
@@ -464,10 +456,10 @@ pub(crate) fn simulate_from(
     net: NetParams,
     sessions: &mut [SessionRuntime],
     busy0: &[Time],
-    faults: Option<&FaultCtx<'_>>,
+    loss: Option<&LossProfile>,
     trace: Option<&Recorder<'_>>,
 ) -> CarryOut {
-    run(specs, net, sessions, busy0, faults, None, trace)
+    run(specs, net, sessions, busy0, loss, None, trace)
 }
 
 /// [`simulate`] with a full activity log: every occupancy interval the run
@@ -478,11 +470,11 @@ pub(crate) fn simulate_logged(
     specs: &[NodeSpec],
     net: NetParams,
     sessions: &mut [SessionRuntime],
-    faults: Option<&FaultCtx<'_>>,
+    loss: Option<&LossProfile>,
 ) -> (Vec<u64>, Vec<(usize, Time, Time)>) {
     let idle = vec![Time::ZERO; specs.len()];
     let mut log = Vec::new();
-    let carry = run(specs, net, sessions, &idle, faults, Some(&mut log), None);
+    let carry = run(specs, net, sessions, &idle, loss, Some(&mut log), None);
     (carry.busy_time, log)
 }
 
@@ -499,7 +491,7 @@ fn run(
     net: NetParams,
     sessions: &mut [SessionRuntime],
     busy0: &[Time],
-    faults: Option<&FaultCtx<'_>>,
+    loss: Option<&LossProfile>,
     mut log: Option<&mut Vec<(usize, Time, Time)>>,
     trace: Option<&Recorder<'_>>,
 ) -> CarryOut {
@@ -508,13 +500,13 @@ fn run(
     // A lossless profile draws no losses, so skipping the fault path
     // entirely makes "rate 0 equals no injection" structural rather than
     // statistical.
-    let faults = faults.filter(|ctx| !ctx.profile.is_lossless());
+    let loss = loss.filter(|profile| !profile.is_lossless());
     let mut busy_until = busy0.to_vec();
     let mut busy_time = vec![0u64; n];
     let mut waiting: Vec<VecDeque<(usize, KernelEvent)>> = vec![VecDeque::new(); n];
     let mut queue = RadixQueue::new();
     let mut seq = 0u64;
-    let mut repair: Vec<RepairState> = match faults {
+    let mut repair: Vec<RepairState> = match loss {
         Some(_) => sessions
             .iter()
             .map(|session| RepairState::new(session.node_map.len(), session.chunks))
@@ -758,15 +750,8 @@ fn run(
                 // A lost delivery consumed the sender's occupancy all the
                 // same; the receiver detects the gap one latency later
                 // (when the delivery would have landed) and NACKs.
-                let lost = faults.is_some_and(|ctx| {
-                    ctx.profile.lost(
-                        fault_id(session.id, chunk),
-                        local,
-                        target,
-                        0,
-                        t,
-                        ctx.class_of[session.node_map[target]],
-                    )
+                let lost = loss.is_some_and(|profile| {
+                    profile.lost(fault_id(session.id, chunk), local, target, 0, t)
                 });
                 if lost {
                     push!(
@@ -931,18 +916,17 @@ fn run(
                 attempt,
                 chunk,
             } => {
-                let ctx = faults.expect("repair events only exist in faulted runs");
+                let profile = loss.expect("repair events only exist in faulted runs");
                 let state = &mut repair[slot];
                 let at = state.idx(chunk, local);
                 let RepairSlot::Pending(missed) = &mut state.slots[at] else {
                     continue;
                 };
                 let first_missed = *missed.get_or_insert(t);
-                let expired = ctx
-                    .profile
+                let expired = profile
                     .repair_deadline
                     .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d));
-                if attempt > ctx.profile.max_retries || expired {
+                if attempt > profile.max_retries || expired {
                     // Retries exhausted or recovery-liveness bound blown:
                     // the session completes partially.
                     give_up!(state, session, slot, local, chunk, t);
@@ -954,9 +938,7 @@ fn run(
                     .band(2)
                     .chunk(chunk)
                     .seq(eseq));
-                let delay = ctx
-                    .profile
-                    .retry_delay(fault_id(session.id, chunk), local, attempt);
+                let delay = profile.retry_delay(fault_id(session.id, chunk), local, attempt);
                 push!(
                     t + Time::new(delay),
                     slot,
@@ -972,7 +954,7 @@ fn run(
                 attempt,
                 chunk,
             } => {
-                let ctx = faults.expect("repair events only exist in faulted runs");
+                let profile = loss.expect("repair events only exist in faulted runs");
                 let state = &mut repair[slot];
                 let at = state.idx(chunk, local);
                 let RepairSlot::Pending(missed) = state.slots[at] else {
@@ -1012,8 +994,7 @@ fn run(
                 // retransmission that waited it out is abandoned, not sent.
                 // The declined node is passed on like the churn gate does,
                 // so parked waiters never starve.
-                if ctx
-                    .profile
+                if profile
                     .repair_deadline
                     .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d))
                 {
@@ -1042,14 +1023,7 @@ fn run(
                     .seq(eseq)
                     .dur(dur.raw()));
                 session.repair_sends += 1;
-                let lost = ctx.profile.lost(
-                    fault_id(session.id, chunk),
-                    rp,
-                    local,
-                    attempt,
-                    t,
-                    ctx.class_of[session.node_map[local]],
-                );
+                let lost = profile.lost(fault_id(session.id, chunk), rp, local, attempt, t);
                 if lost {
                     push!(
                         end + net.latency(),

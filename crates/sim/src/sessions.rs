@@ -1541,18 +1541,13 @@ mod tests {
         // double-books a node.
         let pool = pool();
         let specs: Vec<NodeSpec> = (0..pool.len()).map(|g| pool.spec_of_node(g)).collect();
-        let class_of: Vec<usize> = (0..pool.len()).map(|g| pool.class_of(g)).collect();
         let net = NetParams::new(2);
         for seed in 0..6u64 {
             let requests = contended_requests(&pool, 50, seed);
             let config = lossy_config(0.15, seed, RepairPlacement::FastestInSubtree);
             let mut sessions = admit_all(&pool, net, &config, &requests);
-            let profile = config.loss.as_ref().unwrap();
-            let faults = kernel::FaultCtx {
-                profile,
-                class_of: &class_of,
-            };
-            let (_, log) = kernel::simulate_logged(&specs, net, &mut sessions, Some(&faults));
+            let (_, log) =
+                kernel::simulate_logged(&specs, net, &mut sessions, config.loss.as_ref());
             let offenders = crate::validate::check_one_port(pool.len(), &log);
             assert!(
                 offenders.is_empty(),
@@ -1618,7 +1613,6 @@ mod tests {
             use proptest::prelude::prop_assert;
             let pool = pool();
             let specs: Vec<NodeSpec> = (0..pool.len()).map(|g| pool.spec_of_node(g)).collect();
-            let class_of: Vec<usize> = (0..pool.len()).map(|g| pool.class_of(g)).collect();
             let net = NetParams::new(2);
             let requests = contended_requests(&pool, 25, seed);
             let mut profile = ChunkProfile::new(chunks, interval);
@@ -1632,18 +1626,7 @@ mod tests {
                     .with_repair(RepairPlacement::FastestInSubtree);
             }
             let mut sessions = admit_all(&pool, net, &config, &requests);
-            let ctx;
-            let faults = match config.loss.as_ref() {
-                Some(profile) => {
-                    ctx = kernel::FaultCtx {
-                        profile,
-                        class_of: &class_of,
-                    };
-                    Some(&ctx)
-                }
-                None => None,
-            };
-            let (_, log) = kernel::simulate_logged(&specs, net, &mut sessions, faults);
+            let (_, log) = kernel::simulate_logged(&specs, net, &mut sessions, config.loss.as_ref());
             prop_assert!(!log.is_empty());
             let offenders = crate::validate::check_one_port(pool.len(), &log);
             prop_assert!(offenders.is_empty(), "overlap on {:?}", offenders);

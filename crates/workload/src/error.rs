@@ -62,8 +62,6 @@ pub enum WorkloadError {
     },
     /// A hot-spot pattern was configured with zero sessions per phase.
     DegeneratePhase,
-    /// A stream pattern was configured with zero chunks per session.
-    DegenerateChunks,
 }
 
 impl fmt::Display for WorkloadError {
@@ -100,9 +98,6 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::DegeneratePhase => {
                 write!(f, "hot-spot pattern needs at least one session per phase")
-            }
-            WorkloadError::DegenerateChunks => {
-                write!(f, "stream pattern needs at least one chunk per session")
             }
         }
     }
