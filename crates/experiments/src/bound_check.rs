@@ -11,7 +11,7 @@
 use crate::table::Table;
 use hnow_core::bounds::theorem1_bound;
 use hnow_core::planner::{self, PlanRequest};
-use hnow_model::models::Instance;
+use hnow_model::Instance;
 use hnow_workload::RandomClusterConfig;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};

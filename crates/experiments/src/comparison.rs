@@ -16,7 +16,7 @@
 
 use crate::table::Table;
 use hnow_core::planner::{self, plan_many, PlanRequest, Planner};
-use hnow_model::models::Instance;
+use hnow_model::Instance;
 use hnow_workload::Sweep;
 use serde::{Deserialize, Serialize};
 

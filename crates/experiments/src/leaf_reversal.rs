@@ -10,7 +10,7 @@
 use crate::table::Table;
 use hnow_core::algorithms::greedy::{greedy_with_options, GreedyOptions};
 use hnow_core::schedule::reception_completion;
-use hnow_model::models::Instance;
+use hnow_model::Instance;
 use hnow_workload::Sweep;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};

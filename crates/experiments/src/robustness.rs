@@ -13,7 +13,7 @@
 use crate::comparison::resolve_planners;
 use crate::table::Table;
 use hnow_core::planner::PlanRequest;
-use hnow_model::models::Instance;
+use hnow_model::Instance;
 use hnow_sim::{check_against_analytic, PerturbConfig};
 use hnow_workload::RandomClusterConfig;
 use rayon::prelude::*;

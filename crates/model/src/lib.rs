@@ -17,13 +17,8 @@
 //! list of destination nodes, kept in the canonical non-decreasing overhead
 //! order that the paper's algorithms assume. Limited-heterogeneity instances
 //! (a fixed number `k` of workstation *types*) are described by
-//! [`ClassTable`] and [`TypedMulticast`].
-//!
-//! The [`models`] module additionally provides the reference models that the
-//! paper positions itself against (the heterogeneous-node model, the one-port
-//! model, the postal model and LogP), each of which can be converted into a
-//! receive-send instance so that the scheduling algorithms in `hnow-core` can
-//! be exercised uniformly.
+//! [`ClassTable`] and [`TypedMulticast`]. An [`Instance`] bundles a
+//! multicast set with its network parameters.
 //!
 //! ## Quick example
 //!
@@ -49,7 +44,6 @@
 pub mod chunk;
 pub mod class;
 pub mod error;
-pub mod models;
 pub mod multicast;
 pub mod node;
 pub mod overhead;
@@ -59,7 +53,7 @@ pub mod time;
 pub use chunk::ChunkProfile;
 pub use class::{ClassTable, NodeClass, TypedMulticast};
 pub use error::ModelError;
-pub use multicast::MulticastSet;
+pub use multicast::{Instance, MulticastSet};
 pub use node::{NodeId, NodeSpec};
 pub use overhead::OverheadProfile;
 pub use params::{MessageSize, NetParams};

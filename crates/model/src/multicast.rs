@@ -2,6 +2,7 @@
 
 use crate::error::ModelError;
 use crate::node::{NodeId, NodeSpec};
+use crate::params::NetParams;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -268,6 +269,28 @@ impl fmt::Display for MulticastSet {
     }
 }
 
+/// A complete receive-send multicast instance: the participating nodes plus
+/// the network parameters.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Instance {
+    /// Source and destination overheads.
+    pub set: MulticastSet,
+    /// Network latency.
+    pub net: NetParams,
+}
+
+impl Instance {
+    /// Bundles a multicast set and network parameters.
+    pub fn new(set: MulticastSet, net: NetParams) -> Self {
+        Instance { set, net }
+    }
+
+    /// Number of destinations.
+    pub fn num_destinations(&self) -> usize {
+        self.set.num_destinations()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,5 +403,16 @@ mod tests {
         let json = serde_json::to_string(&set).unwrap();
         let back: MulticastSet = serde_json::from_str(&json).unwrap();
         assert_eq!(set, back);
+    }
+
+    #[test]
+    fn instance_bundle() {
+        let set = MulticastSet::new(NodeSpec::new(1, 1), vec![NodeSpec::new(2, 3)]).unwrap();
+        let inst = Instance::new(set.clone(), NetParams::new(2));
+        assert_eq!(inst.num_destinations(), 1);
+        assert_eq!(inst.set, set);
+        let json = serde_json::to_string(&inst).unwrap();
+        let back: Instance = serde_json::from_str(&json).unwrap();
+        assert_eq!(inst, back);
     }
 }

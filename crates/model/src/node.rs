@@ -57,10 +57,9 @@ impl From<usize> for NodeId {
 ///   it receives the message.
 ///
 /// The paper assumes positive integer overheads; [`NodeSpec::new`] enforces a
-/// positive sending overhead and allows a zero receiving overhead only so
-/// that simpler reference models (e.g. the heterogeneous-node model, which
-/// has no explicit receive cost) can be embedded — see
-/// [`models`](crate::models).
+/// positive sending overhead and allows a zero receiving overhead, which
+/// expresses models without an explicit receive cost (e.g. the
+/// heterogeneous-node model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NodeSpec {
     send: Time,

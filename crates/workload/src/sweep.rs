@@ -1,15 +1,14 @@
 //! Parameter sweeps.
 //!
-//! Experiments report series over a swept parameter (cluster size, slow-node
-//! fraction, ratio spread, message size, latency). A [`Sweep`] is simply a
-//! named list of points, each of which materialises into a multicast
+//! Experiments report series over a swept parameter. A [`Sweep`] is simply
+//! a named list of points, each of which materialises into a multicast
 //! instance; the experiment harness maps a set of strategies over every
-//! point.
+//! point. [`Sweep::over_slow_fraction`] builds the series the experiments
+//! use: the slow-node fraction of a bimodal cluster.
 
 use crate::error::WorkloadError;
 use crate::generator::{bimodal_cluster, RandomClusterConfig};
-use hnow_model::models::Instance;
-use hnow_model::NetParams;
+use hnow_model::{Instance, NetParams};
 use serde::{Deserialize, Serialize};
 
 /// One point of a sweep: a label (the x-value) plus the instance generator
@@ -44,34 +43,13 @@ impl SweepPoint {
 /// A named series of sweep points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sweep {
-    /// Name of the swept parameter (e.g. "destinations", "slow fraction").
+    /// Name of the swept parameter (e.g. "slow fraction").
     pub parameter: String,
     /// The points, in presentation order.
     pub points: Vec<SweepPoint>,
 }
 
 impl Sweep {
-    /// Sweep over the number of destinations with otherwise default random
-    /// clusters.
-    pub fn over_cluster_size(sizes: &[usize], latency: u64, seed: u64) -> Sweep {
-        Sweep {
-            parameter: "destinations".to_string(),
-            points: sizes
-                .iter()
-                .map(|&n| SweepPoint {
-                    x: n as f64,
-                    config: RandomClusterConfig {
-                        destinations: n,
-                        ..RandomClusterConfig::default()
-                    },
-                    bimodal_slow_fraction: None,
-                    latency,
-                    seed: seed ^ (n as u64).wrapping_mul(0x9E37_79B9),
-                })
-                .collect(),
-        }
-    }
-
     /// Sweep over the fraction of slow nodes in a bimodal cluster of fixed
     /// size.
     pub fn over_slow_fraction(
@@ -98,70 +76,11 @@ impl Sweep {
                 .collect(),
         }
     }
-
-    /// Sweep over the receive-send ratio spread: every point draws ratios
-    /// from `[1.0, 1.0 + spread]`.
-    pub fn over_ratio_spread(
-        destinations: usize,
-        spreads: &[f64],
-        latency: u64,
-        seed: u64,
-    ) -> Sweep {
-        Sweep {
-            parameter: "ratio spread".to_string(),
-            points: spreads
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| SweepPoint {
-                    x: s,
-                    config: RandomClusterConfig {
-                        destinations,
-                        min_ratio: 1.0,
-                        max_ratio: 1.0 + s.max(0.0),
-                        ..RandomClusterConfig::default()
-                    },
-                    bimodal_slow_fraction: None,
-                    latency,
-                    seed: seed ^ (i as u64).wrapping_mul(0xDEAD_BEEF),
-                })
-                .collect(),
-        }
-    }
-
-    /// Sweep over the network latency with a fixed cluster.
-    pub fn over_latency(destinations: usize, latencies: &[u64], seed: u64) -> Sweep {
-        Sweep {
-            parameter: "latency".to_string(),
-            points: latencies
-                .iter()
-                .map(|&l| SweepPoint {
-                    x: l as f64,
-                    config: RandomClusterConfig {
-                        destinations,
-                        ..RandomClusterConfig::default()
-                    },
-                    bimodal_slow_fraction: None,
-                    latency: l,
-                    seed,
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cluster_size_sweep_materialises() {
-        let sweep = Sweep::over_cluster_size(&[4, 8, 16], 1, 7);
-        assert_eq!(sweep.points.len(), 3);
-        for (i, point) in sweep.points.iter().enumerate() {
-            let inst = point.instance().unwrap();
-            assert_eq!(inst.num_destinations(), [4, 8, 16][i]);
-        }
-    }
 
     #[test]
     fn slow_fraction_sweep_materialises() {
@@ -173,26 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn ratio_spread_sweep_widens_alpha() {
-        let sweep = Sweep::over_ratio_spread(32, &[0.0, 0.8], 1, 11);
-        let narrow = sweep.points[0].instance().unwrap();
-        let wide = sweep.points[1].instance().unwrap();
-        let narrow_spread = narrow.set.alpha_max() - narrow.set.alpha_min();
-        let wide_spread = wide.set.alpha_max() - wide.set.alpha_min();
-        assert!(wide_spread >= narrow_spread);
-    }
-
-    #[test]
-    fn latency_sweep_sets_latency() {
-        let sweep = Sweep::over_latency(8, &[0, 5, 50], 1);
-        for (i, point) in sweep.points.iter().enumerate() {
-            assert_eq!(point.instance().unwrap().net.latency().raw(), [0, 5, 50][i]);
-        }
-    }
-
-    #[test]
     fn sweeps_serialize() {
-        let sweep = Sweep::over_cluster_size(&[2, 4], 1, 9);
+        let sweep = Sweep::over_slow_fraction(4, &[0.0, 0.5], 1, 9);
         let json = serde_json::to_string(&sweep).unwrap();
         let back: Sweep = serde_json::from_str(&json).unwrap();
         assert_eq!(sweep, back);
