@@ -42,9 +42,9 @@
 //! * [`trace`] — execution traces, per-node timelines and ASCII Gantt
 //!   rendering.
 //! * [`faults`] — seeded, deterministic message loss ([`LossProfile`]):
-//!   iid rates, per-class overrides and Gilbert-style bursts, injected into
-//!   the shared kernel's deliveries and repaired by NACK-driven
-//!   retransmission (see the kernel's band-2 documentation in `kernel`).
+//!   an iid rate and Gilbert-style bursts, injected into the shared
+//!   kernel's deliveries and repaired by NACK-driven retransmission (see
+//!   the kernel's band-2 documentation in `kernel`).
 //! * [`perturb`] — reproducible multiplicative overhead jitter, replayed
 //!   through the same occupancy kernel.
 //! * [`validate`] — cross-check of simulated against closed-form times and
