@@ -130,12 +130,20 @@ fn configuration(name: &str) -> (RunConfig, Entry) {
             });
             (series(config), Entry::Sharded(hot_requests))
         }
+        "sharded_lossy_gateway" => (
+            lossy(RunConfig::default().sharded(4)).with_repair(RepairPlacement::Gateway),
+            Entry::Sharded(sharded_requests),
+        ),
+        "sharded_lossy_fastest" => (
+            lossy(RunConfig::default().sharded(4)).with_repair(RepairPlacement::FastestInSubtree),
+            Entry::Sharded(sharded_requests),
+        ),
         _ => panic!("no golden configuration named {name}"),
     }
 }
 
 /// Every golden configuration, in `traces.txt` order.
-const NAMES: [&str; 7] = [
+const NAMES: [&str; 9] = [
     "flat_lossless",
     "flat_lossy",
     "flat_chunked",
@@ -143,6 +151,8 @@ const NAMES: [&str; 7] = [
     "sharded_lossy",
     "sharded_chunked",
     "sharded_controlled",
+    "sharded_lossy_gateway",
+    "sharded_lossy_fastest",
 ];
 
 /// Runs `config` through `entry` and pretty-prints the report.
@@ -286,6 +296,16 @@ fn sharded_chunked_report_matches_its_golden() {
 #[test]
 fn sharded_controlled_report_matches_its_golden() {
     check("sharded_controlled");
+}
+
+#[test]
+fn sharded_lossy_gateway_report_matches_its_golden() {
+    check("sharded_lossy_gateway");
+}
+
+#[test]
+fn sharded_lossy_fastest_report_matches_its_golden() {
+    check("sharded_lossy_fastest");
 }
 
 #[test]
