@@ -8,9 +8,12 @@
 //! pluggable behind [`GatewayPolicy`], with policies selected by registry
 //! name exactly like planners.
 //!
-//! Every policy is a pure function of the candidate list it is handed, and
-//! candidates are always presented in ascending global-id order, so a
-//! policy's choice is deterministic and independent of thread count.
+//! Every policy is a pure function of the candidate list it is handed. The
+//! sharded cluster groups a session's members by `(shard, id)`, so
+//! candidates arrive in ascending global-id order; and every policy's key
+//! ends in the node id, so no two candidates tie and the choice would be
+//! the same in any order. It is deterministic and independent of thread
+//! count.
 
 use hnow_model::NodeSpec;
 
@@ -119,9 +122,9 @@ impl GatewayPolicy for StitchedRtMin {
     }
 }
 
-/// Index of the first minimal element — first occurrence wins ties, which
-/// combined with ascending-id candidate order makes every policy's
-/// tie-break the lowest global id.
+/// Index of the minimal element. Every policy's key ends in the node id,
+/// so keys never tie and the index does not depend on the candidates'
+/// order; equal leading components break toward the lowest global id.
 fn argmin_by_key<K: Ord>(
     candidates: &[GatewayCandidate],
     key: impl Fn(&GatewayCandidate) -> K,

@@ -18,6 +18,14 @@
 //! gateway first forwards to its child gateways (keeping the cross-shard
 //! critical path short), then serves its own shard's subtree, all back to
 //! back on its single port.
+//!
+//! The session pipeline in `hnow-sim` does not call [`compose`]: it
+//! stitches each cross-shard session from its cached plans, shifting every
+//! subtree by its block offset in node ids and by its gateway's reception
+//! plus gateway-tree sends in time. [`compose`], with
+//! [`RepairPlacement::assign_composed`](crate::RepairPlacement::assign_composed),
+//! is the from-scratch reference its differential test checks the stitch
+//! against.
 
 use crate::error::CoreError;
 use crate::schedule::times::{evaluate_with_specs, ScheduleTiming};

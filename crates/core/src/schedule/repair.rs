@@ -8,10 +8,13 @@
 //! node serialize on its one-port occupancy, while repairs spread over the
 //! tree run in parallel and stay close to the losses.
 //!
-//! A [`RepairPlacement`] policy annotates a [`ScheduleTree`] with one
-//! repairer per node ([`RepairPlacement::assign`]), the way
-//! [`compose`](super::compose::compose) designates gateways for stitched
-//! cross-shard schedules ([`RepairPlacement::assign_composed`]). Every
+//! A [`RepairPlacement`] policy annotates a [`ScheduleTree`], or a tree
+//! given as child lists, with one repairer per node
+//! ([`RepairPlacement::assign`], [`RepairPlacement::assign_lists`]), and a
+//! stitched cross-shard tree per shard block, the way gateways are
+//! designated ([`RepairPlacement::assign_stitched`]; its from-scratch
+//! reference over a [`compose`](super::compose::compose)d schedule is
+//! [`RepairPlacement::assign_composed`]). Every
 //! policy yields an *acyclic* assignment that walks strictly upstream:
 //! following `repairer[v]` repeatedly always terminates at the source,
 //! which holds the payload from time zero, so repair-request escalation
@@ -19,7 +22,7 @@
 
 use super::compose::ComposedSchedule;
 use super::tree::ScheduleTree;
-use hnow_model::{NodeId, NodeSpec};
+use hnow_model::NodeSpec;
 use serde::{Deserialize, Serialize};
 
 /// Who retransmits to a receiver that missed its delivery.
@@ -84,23 +87,54 @@ impl RepairPlacement {
     pub fn assign(&self, tree: &ScheduleTree, specs: &[NodeSpec]) -> Vec<usize> {
         debug_assert!(tree.is_complete(), "repairers need an attached tree");
         debug_assert!(specs.len() >= tree.num_nodes());
-        let n = tree.num_nodes();
+        let edges = tree
+            .bfs()
+            .into_iter()
+            .filter_map(|v| Some((tree.parent(v)?.index(), v.index())));
+        self.assign_edges(tree.num_nodes(), edges, |v| specs[v])
+    }
+
+    /// [`RepairPlacement::assign`] over a tree given as child lists:
+    /// `children[v]` holds node `v`'s children, node 0 is the source, and
+    /// `spec(v)` is node `v`'s overheads.
+    pub fn assign_lists(
+        &self,
+        children: &[Vec<usize>],
+        spec: impl Fn(usize) -> NodeSpec,
+    ) -> Vec<usize> {
+        // Breadth-first, so every parent is visited before its children.
+        let mut order = vec![0];
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            order.extend_from_slice(&children[v]);
+            next += 1;
+        }
+        let edges = order
+            .iter()
+            .flat_map(|&parent| children[parent].iter().map(move |&child| (parent, child)));
+        self.assign_edges(children.len(), edges, spec)
+    }
+
+    /// The placement rules over a tree's `(parent, child)` edges, listed
+    /// parents first.
+    fn assign_edges(
+        &self,
+        n: usize,
+        edges: impl Iterator<Item = (usize, usize)>,
+        spec: impl Fn(usize) -> NodeSpec,
+    ) -> Vec<usize> {
         let mut repairer = vec![0usize; n];
         match self {
             RepairPlacement::SourceOnly => {}
             RepairPlacement::SubtreeRoot | RepairPlacement::Gateway => {
-                // In BFS order a node's parent is resolved before the node,
-                // so one pass propagates each top-level root downward.
-                for v in tree.bfs() {
-                    let Some(parent) = tree.parent(v) else {
-                        continue;
-                    };
-                    repairer[v.index()] = if parent.is_source() {
-                        0
-                    } else if tree.parent(parent) == Some(NodeId::SOURCE) {
-                        parent.index()
-                    } else {
-                        repairer[parent.index()]
+                // A node's repairer is its top-level ancestor (the source's
+                // child on its path). Only those children are repaired by
+                // the source, so a parent repaired by 0 is top-level.
+                for (parent, child) in edges {
+                    repairer[child] = match (parent, repairer[parent]) {
+                        (0, _) => 0,
+                        (_, 0) => parent,
+                        (_, top) => top,
                     };
                 }
             }
@@ -108,18 +142,11 @@ impl RepairPlacement {
                 // `best[v]` = fastest node on the path source..=v; a node's
                 // repairer is the best over its *proper* ancestors.
                 let mut best = vec![0usize; n];
-                for v in tree.bfs() {
-                    let Some(parent) = tree.parent(v) else {
-                        continue;
-                    };
-                    repairer[v.index()] = best[parent.index()];
-                    let b = best[parent.index()];
-                    best[v.index()] = if specs[v.index()]
-                        .speed_cmp(&specs[b])
-                        .then(v.index().cmp(&b))
-                        .is_lt()
-                    {
-                        v.index()
+                for (parent, child) in edges {
+                    let b = best[parent];
+                    repairer[child] = b;
+                    best[child] = if spec(child).speed_cmp(&spec(b)).then(child.cmp(&b)).is_lt() {
+                        child
                     } else {
                         b
                     };
@@ -134,6 +161,8 @@ impl RepairPlacement {
     /// (`composed.maps[i][0]`), and gateways (plus the home subtree, whose
     /// gateway *is* the source) by the source. Non-[`Gateway`] policies
     /// ignore the composition and assign over the composed tree directly.
+    ///
+    /// The from-scratch reference of [`RepairPlacement::assign_stitched`].
     ///
     /// [`Gateway`]: RepairPlacement::Gateway
     pub fn assign_composed(&self, composed: &ComposedSchedule) -> Vec<usize> {
@@ -150,13 +179,39 @@ impl RepairPlacement {
         }
         repairer
     }
+
+    /// [`RepairPlacement::assign_composed`] over a stitched tree given as
+    /// child lists (see [`RepairPlacement::assign_lists`]) numbered
+    /// blockwise as [`compose`](super::compose::compose) numbers it: shard
+    /// subtree `i` occupies `offsets[i]..offsets[i + 1]`, its gateway
+    /// first, and the last offset is the node count. Under [`Gateway`]
+    /// every node of a block is repaired by the block's gateway, and
+    /// gateways by the source.
+    ///
+    /// [`Gateway`]: RepairPlacement::Gateway
+    pub fn assign_stitched(
+        &self,
+        children: &[Vec<usize>],
+        offsets: &[usize],
+        spec: impl Fn(usize) -> NodeSpec,
+    ) -> Vec<usize> {
+        debug_assert_eq!(offsets.last(), Some(&children.len()));
+        if *self != RepairPlacement::Gateway {
+            return self.assign_lists(children, spec);
+        }
+        let mut repairer = vec![0usize; children.len()];
+        for block in offsets.windows(2) {
+            repairer[block[0] + 1..block[1]].fill(block[0]);
+        }
+        repairer
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::compose::compose;
-    use hnow_model::NetParams;
+    use hnow_model::{NetParams, NodeId};
 
     /// 0 -> {1, 4}; 1 -> {2, 3}; 4 -> {5}; 5 -> {6}.
     fn deep_tree() -> ScheduleTree {
@@ -277,5 +332,68 @@ mod tests {
         // Non-gateway policies see the composed tree as a flat tree.
         let flat = RepairPlacement::SubtreeRoot.assign_composed(&composed);
         assert_eq!(flat.len(), composed.tree.num_nodes());
+    }
+
+    /// Every policy, in registry order.
+    const POLICIES: [RepairPlacement; 4] = [
+        RepairPlacement::SourceOnly,
+        RepairPlacement::SubtreeRoot,
+        RepairPlacement::FastestInSubtree,
+        RepairPlacement::Gateway,
+    ];
+
+    /// A tree's child lists as plain indices.
+    fn lists(tree: &ScheduleTree) -> Vec<Vec<usize>> {
+        (0..tree.num_nodes())
+            .map(|v| tree.children(NodeId(v)).iter().map(|c| c.index()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn child_lists_assign_as_the_tree_does() {
+        let tree = deep_tree();
+        let mut s = specs(7);
+        s[5] = NodeSpec::new(1, 1);
+        for policy in POLICIES {
+            assert_eq!(
+                policy.assign_lists(&lists(&tree), |v| s[v]),
+                policy.assign(&tree, &s),
+                "{}",
+                policy.name()
+            );
+        }
+    }
+
+    #[test]
+    fn stitched_lists_assign_as_the_composed_schedule_does() {
+        // Gateway tree 0 -> 1 -> 2; the home block serves two members, the
+        // middle one none, the last one a chain of two.
+        let gateway_tree =
+            ScheduleTree::from_child_lists(vec![vec![NodeId(1)], vec![NodeId(2)], vec![]]).unwrap();
+        let home = ScheduleTree::from_child_lists(vec![vec![NodeId(1), NodeId(2)], vec![], vec![]])
+            .unwrap();
+        let single = ScheduleTree::new(1);
+        let chain =
+            ScheduleTree::from_child_lists(vec![vec![NodeId(1)], vec![NodeId(2)], vec![]]).unwrap();
+        let all = specs(7);
+        let composed = compose(
+            &gateway_tree,
+            &[
+                (&home, &all[..3]),
+                (&single, &all[3..4]),
+                (&chain, &all[4..]),
+            ],
+            NetParams::new(1),
+        )
+        .unwrap();
+        let offsets = [0, 3, 4, 7];
+        for policy in POLICIES {
+            assert_eq!(
+                policy.assign_stitched(&lists(&composed.tree), &offsets, |v| composed.specs[v]),
+                policy.assign_composed(&composed),
+                "{}",
+                policy.name()
+            );
+        }
     }
 }

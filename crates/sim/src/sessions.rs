@@ -98,7 +98,7 @@ pub struct SessionRecord {
     /// The planner's analytic reception completion `R_T` for the session's
     /// schedule on an idle cluster (latency the session would see with zero
     /// contention). For a cross-shard session this is the *stitched* time
-    /// of the composed two-level schedule.
+    /// of the two-level schedule.
     pub planned_reception: u64,
     /// The analytic delivery completion `D_T` on an idle cluster.
     pub planned_delivery: u64,
@@ -578,8 +578,9 @@ impl<'a> TrafficEngine<'a> {
 }
 
 /// Per-session state during planning and simulation: the pipeline builds
-/// one per admitted request, with pool-global node maps (stitched composed
-/// trees for cross-shard sessions), and hands them to the occupancy kernel.
+/// one per admitted request, with pool-global node maps (trees stitched
+/// from their cached block plans for cross-shard sessions), and hands them
+/// to the occupancy kernel.
 pub(crate) struct SessionRuntime {
     /// Request id; the loss model keys its draws by it (never by slot or
     /// event order), so epoch slicing and sharding cannot change draws.
@@ -703,35 +704,6 @@ impl SessionRuntime {
         }
         Ok(())
     }
-}
-
-/// Binds abstract schedule-tree node ids to concrete pool nodes: tree id 0
-/// is the source, and each class's tree ids (`locals_by_class`, from
-/// [`TypedMulticast::node_ids_by_class`](hnow_model::TypedMulticast::node_ids_by_class))
-/// are matched to the session's members of that class in ascending pool-id
-/// order, so the binding is deterministic.
-pub(crate) fn bind_node_map(
-    pool: &NodePool,
-    source: usize,
-    members: &[usize],
-    locals_by_class: &[Vec<hnow_model::NodeId>],
-) -> Vec<usize> {
-    let n = members.len() + 1;
-    let mut node_map = vec![usize::MAX; n];
-    node_map[0] = source;
-    for (class, locals) in locals_by_class.iter().enumerate() {
-        let mut members_of_class: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&v| pool.class_of(v) == class)
-            .collect();
-        members_of_class.sort_unstable();
-        debug_assert_eq!(locals.len(), members_of_class.len());
-        for (&local, pool_node) in locals.iter().zip(members_of_class) {
-            node_map[local.index()] = pool_node;
-        }
-    }
-    node_map
 }
 
 /// The delivery-ordered child lists of a schedule tree, by node index.
