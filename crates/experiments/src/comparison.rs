@@ -93,7 +93,7 @@ pub fn run_sweep(sweep: &Sweep, planner_names: &[&str], seed: u64) -> Vec<Compar
                 })
                 .collect();
             ComparisonPoint {
-                x: point.x,
+                x: point.slow_fraction,
                 destinations: request.set.num_destinations(),
                 completions,
             }

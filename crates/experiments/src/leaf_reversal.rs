@@ -59,7 +59,7 @@ pub fn run(sweep: &Sweep) -> Vec<RefinementSample> {
             )
             .unwrap();
             RefinementSample {
-                x: point.x,
+                x: point.slow_fraction,
                 destinations: set.num_destinations(),
                 plain: plain.raw(),
                 refined: refined.raw(),

@@ -7,21 +7,18 @@
 //! use: the slow-node fraction of a bimodal cluster.
 
 use crate::error::WorkloadError;
-use crate::generator::{bimodal_cluster, RandomClusterConfig};
+use crate::generator::bimodal_cluster;
 use hnow_model::{Instance, NetParams};
 use serde::{Deserialize, Serialize};
 
-/// One point of a sweep: a label (the x-value) plus the instance generator
-/// inputs.
+/// One point of a sweep: a bimodal cluster of `destinations` destinations,
+/// a `slow_fraction` of them slow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
-    /// The swept parameter's value, as a number (for plotting).
-    pub x: f64,
-    /// Generator configuration for this point.
-    pub config: RandomClusterConfig,
-    /// Slow fraction when the sweep uses the bimodal generator (`None` for
-    /// the band generator).
-    pub bimodal_slow_fraction: Option<f64>,
+    /// The fraction of slow destinations: the swept parameter's value.
+    pub slow_fraction: f64,
+    /// Destinations of the cluster.
+    pub destinations: usize,
     /// Network latency.
     pub latency: u64,
     /// Seed.
@@ -31,12 +28,8 @@ pub struct SweepPoint {
 impl SweepPoint {
     /// Materialises the point.
     pub fn instance(&self) -> Result<Instance, WorkloadError> {
-        let net = NetParams::new(self.latency);
-        let set = match self.bimodal_slow_fraction {
-            Some(frac) => bimodal_cluster(self.config.destinations, frac, self.seed)?,
-            None => self.config.generate(self.seed)?,
-        };
-        Ok(Instance::new(set, net))
+        let set = bimodal_cluster(self.destinations, self.slow_fraction, self.seed)?;
+        Ok(Instance::new(set, NetParams::new(self.latency)))
     }
 }
 
@@ -63,13 +56,9 @@ impl Sweep {
             points: fractions
                 .iter()
                 .enumerate()
-                .map(|(i, &f)| SweepPoint {
-                    x: f,
-                    config: RandomClusterConfig {
-                        destinations,
-                        ..RandomClusterConfig::default()
-                    },
-                    bimodal_slow_fraction: Some(f),
+                .map(|(i, &slow_fraction)| SweepPoint {
+                    slow_fraction,
+                    destinations,
                     latency,
                     seed: seed ^ (i as u64).wrapping_mul(0x1234_5678_9ABC),
                 })
