@@ -25,7 +25,7 @@ use hnow_core::RepairPlacement;
 use hnow_model::{ChunkProfile, NetParams};
 use hnow_sim::cluster::{ControlConfig, RebalanceConfig, ShardedCluster};
 use hnow_sim::sessions::TrafficEngine;
-use hnow_sim::{LossProfile, RunConfig};
+use hnow_sim::{BurstProfile, LossProfile, RunConfig};
 use hnow_telemetry::{MemorySink, TelemetryConfig, TraceEvent};
 use hnow_workload::{
     default_message_size, two_class_table, ChurnProfile, GroupSizeDist, HotSpotPattern, NodePool,
@@ -88,6 +88,27 @@ fn chunked(config: RunConfig) -> RunConfig {
     lossy(config).with_chunks(ChunkProfile::new(8, 8).with_deadline(6000))
 }
 
+/// 30% bursty loss with two retries, a repair deadline and sequential
+/// 4-chunk trains on the sharded stream: give-ups, escalation past failed
+/// repairers, deadline expiry and repair requests parked on unreached
+/// repairers all show up in the records.
+fn heavy(repair: RepairPlacement) -> RunConfig {
+    let burst = BurstProfile {
+        frequency: 0.3,
+        rate: 0.7,
+        bucket: 64,
+    };
+    RunConfig::default()
+        .sharded(4)
+        .with_loss(LossProfile {
+            max_retries: 2,
+            repair_deadline: Some(400),
+            ..LossProfile::iid(0.3, 101).with_burst(burst)
+        })
+        .with_repair(repair)
+        .with_chunks(ChunkProfile::new(4, 8).sequential())
+}
+
 fn series(config: RunConfig) -> RunConfig {
     config.telemetry(TelemetryConfig::new().with_timeseries(64))
 }
@@ -138,12 +159,28 @@ fn configuration(name: &str) -> (RunConfig, Entry) {
             lossy(RunConfig::default().sharded(4)).with_repair(RepairPlacement::FastestInSubtree),
             Entry::Sharded(sharded_requests),
         ),
+        "sharded_heavy_source" => (
+            heavy(RepairPlacement::SourceOnly),
+            Entry::Sharded(sharded_requests),
+        ),
+        "sharded_heavy_subtree" => (
+            heavy(RepairPlacement::SubtreeRoot),
+            Entry::Sharded(sharded_requests),
+        ),
+        "sharded_heavy_fastest" => (
+            heavy(RepairPlacement::FastestInSubtree),
+            Entry::Sharded(sharded_requests),
+        ),
+        "sharded_heavy_gateway" => (
+            heavy(RepairPlacement::Gateway),
+            Entry::Sharded(sharded_requests),
+        ),
         _ => panic!("no golden configuration named {name}"),
     }
 }
 
 /// Every golden configuration, in `traces.txt` order.
-const NAMES: [&str; 9] = [
+const NAMES: [&str; 13] = [
     "flat_lossless",
     "flat_lossy",
     "flat_chunked",
@@ -153,6 +190,10 @@ const NAMES: [&str; 9] = [
     "sharded_controlled",
     "sharded_lossy_gateway",
     "sharded_lossy_fastest",
+    "sharded_heavy_source",
+    "sharded_heavy_subtree",
+    "sharded_heavy_fastest",
+    "sharded_heavy_gateway",
 ];
 
 /// Runs `config` through `entry` and pretty-prints the report.
@@ -306,6 +347,26 @@ fn sharded_lossy_gateway_report_matches_its_golden() {
 #[test]
 fn sharded_lossy_fastest_report_matches_its_golden() {
     check("sharded_lossy_fastest");
+}
+
+#[test]
+fn sharded_heavy_source_report_matches_its_golden() {
+    check("sharded_heavy_source");
+}
+
+#[test]
+fn sharded_heavy_subtree_report_matches_its_golden() {
+    check("sharded_heavy_subtree");
+}
+
+#[test]
+fn sharded_heavy_fastest_report_matches_its_golden() {
+    check("sharded_heavy_fastest");
+}
+
+#[test]
+fn sharded_heavy_gateway_report_matches_its_golden() {
+    check("sharded_heavy_gateway");
 }
 
 #[test]
