@@ -674,16 +674,16 @@ impl<'a> ShardedCluster<'a> {
                         &dense_busy0,
                         self.config.loss.as_ref(),
                         recorder.as_ref(),
-                    );
+                    )?;
                     let horizons = touched
                         .into_iter()
                         .zip(carry.busy_time.into_iter().zip(carry.busy_until))
                         .map(|(g, (busy, until))| (g, busy, until))
                         .collect();
                     let events = buffer.map_or_else(Vec::new, |buffer| buffer.take());
-                    ((positions, runtimes), horizons, events)
+                    Ok(((positions, runtimes), horizons, events))
                 })
-                .collect();
+                .collect::<Result<_, SimError>>()?;
 
             // Positional merge: untouched nodes keep their horizons, and the
             // records are built in request order straight from the groups.

@@ -77,6 +77,25 @@ pub enum SimError {
         /// The configured backoff.
         backoff: u64,
     },
+    /// A session's chunk train asks for more `(chunk, node)` state than
+    /// one session may hold: (members + 1) × chunks exceeds
+    /// [`MAX_TRAIN_SLOTS`](crate::sessions::MAX_TRAIN_SLOTS). Raised before
+    /// anything is sized from the chunk count.
+    TrainTooLarge {
+        /// Id of the offending session.
+        session: u64,
+        /// Its (members + 1) × chunks.
+        slots: u64,
+    },
+    /// A simulated component outgrows the occupancy kernel's 32-bit ids:
+    /// more than `u32::MAX` sessions or nodes, or more than `u32::MAX`
+    /// tree nodes or `(chunk, node)` slots over its sessions.
+    ComponentTooLarge {
+        /// Sessions in the component.
+        sessions: usize,
+        /// Pool nodes the component touches.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -119,6 +138,15 @@ impl fmt::Display for SimError {
             SimError::RetryBackoffOverflow { backoff } => write!(
                 f,
                 "retry backoff {backoff} makes the longest retry delay overflow the clock"
+            ),
+            SimError::TrainTooLarge { session, slots } => write!(
+                f,
+                "session {session}'s chunk train needs {slots} (chunk, node) slots, more than {}",
+                crate::sessions::MAX_TRAIN_SLOTS
+            ),
+            SimError::ComponentTooLarge { sessions, nodes } => write!(
+                f,
+                "a component of {sessions} sessions over {nodes} nodes outgrows the kernel's 32-bit ids"
             ),
         }
     }

@@ -4,7 +4,9 @@
 //!
 //! This module is the only event loop in the crate; every caller feeds it
 //! [`SessionRuntime`]s and gets the identical occupancy semantics, so a
-//! request vector produces the same report whichever engine serves it.
+//! request vector produces the same report whichever engine serves it. The
+//! loop itself runs on the kernel's own dense copy of the sessions (see
+//! [Session state](#session-state)).
 //!
 //! # The tie-break rule
 //!
@@ -104,10 +106,11 @@
 //!   retransmissions — or once the profile's optional `repair_deadline`
 //!   elapses after the first miss, counting time spent queued on a busy
 //!   repairer — the receiver **fails** and the session completes
-//!   *partially* (graceful degradation): `pending` is discharged, the
-//!   failure is counted, and the receiver's would-be children are told to
-//!   request repair from their own repairers (escalating past failed ones,
-//!   terminating at the source, which holds the payload from time zero).
+//!   *partially* (graceful degradation): its pending reception is
+//!   discharged, the failure is counted, and the receiver's would-be
+//!   children are told to request repair from their own repairers
+//!   (escalating past failed ones, terminating at the source, which holds
+//!   the payload from time zero).
 //! * **Repairer readiness.** A repairer that has not yet completed its own
 //!   reception parks incoming repair requests and replays them the moment
 //!   it is reached (or hands them up the escalation chain if it fails),
@@ -134,7 +137,52 @@
 //! degrades only itself; later chunks of the same receiver are unaffected.
 //! A `chunks == 1` session takes none of these branches and is
 //! event-for-event identical to the atomic path.
+//!
+//! # Session state
+//!
+//! The loop never reads a [`SessionRuntime`]. At entry, one pass over the
+//! component's sessions builds the kernel's own dense working state, with
+//! one entry per slot (a session's position in the slice):
+//!
+//! * **Records.** One 64-byte record per slot holds every field the loop
+//!   touches per event: the session's id, start, completion and delivery,
+//!   its member receptions still pending (members × chunks), and where its
+//!   entries start in the arrays below. The child lists and the repairer
+//!   table are borrowed from the session's shared plan, so no tree is
+//!   copied or hashed per call. A second record per slot holds what only a
+//!   session's opening, its chunk releases and its repairs touch: arrival,
+//!   patience deadline, release interval, start time, and the NACK,
+//!   retransmission and give-up counts.
+//! * **Node map.** One flat `u32` array of every session's tree node →
+//!   node id, session after session.
+//! * **Chunks.** One flat `(completed, pending)` entry per chunk of every
+//!   streaming session: its latest reception completion, and the members
+//!   still to settle it (which opens a sequential train's next chunk).
+//!   Atomic sessions have none.
+//! * **Repair status** (lossy runs only). One byte per `(chunk, node)`,
+//!   chunk by chunk: pending, missed, reached or failed in the low two
+//!   bits, plus a has-parked bit, set while repair requests wait on that
+//!   node for that chunk. A reception or a give-up replays parked requests
+//!   only when the bit is set. The instant a node first missed a chunk lives
+//!   in a side array of the same shape, which only the repair path reads:
+//!   NACKs, retransmissions, and the reception that ends a repair.
+//!
+//! Sessions stay read-only until the loop ends. The kernel then writes each
+//! slot's outcome back to its session once: start, abandonment, completion
+//! and delivery times, NACK, retransmission and give-up counts, each
+//! chunk's completion time, and the repair delays, which are buffered in
+//! completion order. These are all that
+//! [`record_for`](crate::sessions::record_for) reads of a run.
+//!
+//! Slots, node ids, tree node ids and chunk indices are 32-bit in the
+//! records, the events and the wait queues. Each narrowing is checked once
+//! at entry: a component too large for it is
+//! [`SimError::ComponentTooLarge`], never a truncation. The pipeline bounds
+//! each session's (members + 1) × chunks by
+//! [`MAX_TRAIN_SLOTS`](crate::sessions::MAX_TRAIN_SLOTS) before anything is
+//! sized for it.
 
+use crate::error::SimError;
 use crate::faults::LossProfile;
 use crate::sessions::SessionRuntime;
 use hnow_model::{NetParams, NodeSpec, Time};
@@ -143,7 +191,7 @@ use std::collections::VecDeque;
 
 /// A discrete event of the occupancy simulation. "Claim" events ([`Send`],
 /// [`Recv`], [`RepairSend`]) ask for node time and park in the node's FIFO
-/// wait queue while it is busy.
+/// wait queue while it is busy. Ids are 32-bit (see "Session state").
 ///
 /// [`Send`]: KernelEvent::Send
 /// [`Recv`]: KernelEvent::Recv
@@ -152,30 +200,26 @@ use std::collections::VecDeque;
 enum KernelEvent {
     /// The session's tree node `local` wants to start its `child`-th send
     /// of chunk `chunk`.
-    Send {
-        local: usize,
-        child: usize,
-        chunk: u32,
-    },
+    Send { local: u32, child: u32, chunk: u32 },
     /// Chunk `chunk` reaches tree node `local` (records delivery, then
     /// re-queues the receive claim per tie-break rule 4).
-    Arrive { local: usize, chunk: u32 },
+    Arrive { local: u32, chunk: u32 },
     /// Tree node `local` wants to start its receiving overhead for chunk
     /// `chunk`.
-    Recv { local: usize, chunk: u32 },
+    Recv { local: u32, chunk: u32 },
     /// The node finished an activity; wake its next parked waiter.
-    Free { node: usize },
+    Free { node: u32 },
     /// Tree node `local` missed chunk `chunk` and requests retransmission
     /// `attempt` from its repairer (band 2; control traffic, no occupancy).
     Nack {
-        local: usize,
+        local: u32,
         attempt: u32,
         chunk: u32,
     },
     /// `local`'s repairer wants to start retransmission `attempt` of chunk
     /// `chunk` (band 2; claims the repairer's send occupancy).
     RepairSend {
-        local: usize,
+        local: u32,
         attempt: u32,
         chunk: u32,
     },
@@ -206,7 +250,7 @@ impl KernelEvent {
 
 /// A queued event: `(time, band, seq, session slot, event)`. The first
 /// three fields are its execution order; `seq` is unique within a band.
-type Entry = (Time, u8, u64, usize, KernelEvent);
+type Entry = (Time, u8, u64, u32, KernelEvent);
 
 /// The end of a [`List`].
 const NIL: usize = usize::MAX;
@@ -357,61 +401,103 @@ fn fault_id(session_id: u64, chunk: u32) -> u64 {
     }
 }
 
-/// Repair progress of one `(chunk, node)` slot.
-#[derive(Clone, Copy)]
-enum RepairSlot {
-    /// Reception not yet completed (the initial state of every non-source
-    /// node), with the instant the node first learned it missed a delivery.
-    Pending(Option<Time>),
-    /// Reception completed; the node can serve as a repairer.
-    Reached,
-    /// Retries exhausted; the node is given up on.
-    Failed,
+/// Repair status of one `(chunk, node)`, one byte each (see "Session
+/// state" in the module docs): a state in the low two bits, plus
+/// [`PARKED`].
+type Status = u8;
+/// Not yet received, and no miss detected: the initial state of every
+/// non-source node.
+const PENDING: Status = 0;
+/// Not yet received; the instant of the first miss is in the first-miss
+/// array.
+const MISSED: Status = 1;
+/// Reception completed: the node can serve as a repairer.
+const REACHED: Status = 2;
+/// Retries exhausted or deadline passed: the node is given up on.
+const FAILED: Status = 3;
+/// The state bits of a status byte.
+const STATE: Status = 3;
+/// Repair requests are parked on this slot until it is reached or fails.
+const PARKED: Status = 4;
+
+/// The kernel's working record of one session slot: every field the loop
+/// touches per event, in one cache line (see "Session state" in the module
+/// docs).
+#[repr(align(64))]
+struct Slot<'a> {
+    /// Child lists of the session's shared plan, borrowed for the run.
+    children: &'a Vec<Vec<usize>>,
+    /// Repairer table of the session's shared plan (`None`: source-only).
+    repairer: Option<&'a Vec<usize>>,
+    id: u64,
+    completed_at: Time,
+    delivered_at: Time,
+    /// First entry of the session in the flat node map.
+    node_base: u32,
+    /// First entry of the session in the per-chunk array (streaming
+    /// sessions only).
+    chunk_base: u32,
+    /// First status byte of the session (lossy runs only).
+    status_base: u32,
+    chunks: u32,
+    /// Member receptions, one per chunk, still to complete or fail.
+    pending: u32,
+    pipelined: bool,
+    started: bool,
+    abandoned: bool,
 }
 
-/// Per-session repair bookkeeping, allocated only for faulted runs. Each
-/// chunk of a streaming session runs its own independent repair state over
-/// the same tree, so a late repair degrades only that chunk.
-struct RepairState {
-    /// Tree size: the stride of the `(chunk, node)` index.
-    nodes: usize,
-    /// One record per `(chunk, node)`, indexed by [`Self::idx`].
-    slots: Vec<RepairSlot>,
-    /// Repair requests parked on a repairer not yet reached, as
-    /// `(repairer's slot index, requesting node, attempt)` in park order.
-    parked: Vec<(usize, usize, u32)>,
+impl Slot<'_> {
+    /// Index of tree node `local` in the flat node map.
+    fn node(&self, local: u32) -> usize {
+        debug_assert!((local as usize) < self.children.len());
+        self.node_base as usize + local as usize
+    }
+
+    /// Index of `(chunk, local)` in the status bytes: one row of tree
+    /// nodes per chunk.
+    fn status(&self, chunk: u32, local: u32) -> usize {
+        debug_assert!(chunk < self.chunks && (local as usize) < self.children.len());
+        self.status_base as usize + chunk as usize * self.children.len() + local as usize
+    }
+
+    /// Index of chunk `chunk` in the per-chunk array.
+    fn chunk(&self, chunk: u32) -> usize {
+        debug_assert!(chunk < self.chunks);
+        self.chunk_base as usize + chunk as usize
+    }
 }
 
-impl RepairState {
-    fn new(nodes: usize, chunks: u32) -> Self {
-        let mut slots = vec![RepairSlot::Pending(None); nodes * chunks as usize];
-        for chunk in 0..chunks as usize {
-            // The source holds every chunk from its release.
-            slots[chunk * nodes] = RepairSlot::Reached;
-        }
-        RepairState {
-            nodes,
-            slots,
-            parked: Vec::new(),
-        }
-    }
+/// The rest of a slot's state: fields the loop touches only at a session's
+/// opening, at chunk releases and on the repair path.
+struct Rare {
+    arrival: Time,
+    deadline: Option<Time>,
+    chunk_interval: Time,
+    /// The session's first claim (meaningful once the slot has `started`).
+    started_at: Time,
+    nacks: u64,
+    repair_sends: u64,
+    failed_members: usize,
+}
 
-    /// Dense `(chunk, node)` index.
-    fn idx(&self, chunk: u32, local: usize) -> usize {
-        chunk as usize * self.nodes + local
+impl Rare {
+    /// Release time of chunk `chunk`: `arrival + chunk · interval`.
+    fn release(&self, chunk: u32) -> Time {
+        self.arrival + self.chunk_interval * u64::from(chunk)
     }
+}
 
-    /// Removes the requests parked on slot `at` and hands each to `replay`
-    /// as `(requesting node, attempt)`, in park order.
-    fn unpark(&mut self, at: usize, mut replay: impl FnMut(usize, u32)) {
-        self.parked.retain(|&(slot, local, attempt)| {
-            if slot != at {
-                return true;
-            }
-            replay(local, attempt);
-            false
-        });
-    }
+/// Removes the repair requests parked on status index `at` and hands each
+/// to `replay` as `(requesting node, attempt)`, in park order.
+fn unpark(parked: &mut Vec<(u32, u32, u32)>, at: usize, mut replay: impl FnMut(u32, u32)) {
+    parked.retain(|&(slot, local, attempt)| {
+        if slot as usize != at {
+            return true;
+        }
+        replay(local, attempt);
+        false
+    });
 }
 
 /// Per-node state carried across epoch-synchronous kernel runs: the busy
@@ -432,16 +518,18 @@ pub(crate) struct CarryOut {
 /// tie-break identity of rule 1, so two callers handing the kernel the same
 /// sessions in the same order get byte-identical outcomes regardless of how
 /// the surrounding work was partitioned or threaded. `loss` switches on
-/// message loss and NACK-driven repair (see the module docs).
+/// message loss and NACK-driven repair (see the module docs). A component
+/// too large for the kernel's 32-bit ids is
+/// [`SimError::ComponentTooLarge`].
 pub(crate) fn simulate(
     specs: &[NodeSpec],
     net: NetParams,
     sessions: &mut [SessionRuntime],
     loss: Option<&LossProfile>,
     trace: Option<&Recorder<'_>>,
-) -> Vec<u64> {
+) -> Result<Vec<u64>, SimError> {
     let idle = vec![Time::ZERO; specs.len()];
-    simulate_from(specs, net, sessions, &idle, loss, trace).busy_time
+    Ok(simulate_from(specs, net, sessions, &idle, loss, trace)?.busy_time)
 }
 
 /// [`simulate`] with carried-in busy state: `busy0[node]` is the node's
@@ -458,7 +546,7 @@ pub(crate) fn simulate_from(
     busy0: &[Time],
     loss: Option<&LossProfile>,
     trace: Option<&Recorder<'_>>,
-) -> CarryOut {
+) -> Result<CarryOut, SimError> {
     run(specs, net, sessions, busy0, loss, None, trace)
 }
 
@@ -474,7 +562,8 @@ pub(crate) fn simulate_logged(
 ) -> (Vec<u64>, Vec<(usize, Time, Time)>) {
     let idle = vec![Time::ZERO; specs.len()];
     let mut log = Vec::new();
-    let carry = run(specs, net, sessions, &idle, loss, Some(&mut log), None);
+    let carry = run(specs, net, sessions, &idle, loss, Some(&mut log), None)
+        .expect("test components fit the kernel's 32-bit ids");
     (carry.busy_time, log)
 }
 
@@ -494,38 +583,99 @@ fn run(
     loss: Option<&LossProfile>,
     mut log: Option<&mut Vec<(usize, Time, Time)>>,
     trace: Option<&Recorder<'_>>,
-) -> CarryOut {
+) -> Result<CarryOut, SimError> {
     let n = specs.len();
     debug_assert_eq!(busy0.len(), n);
     // A lossless profile draws no losses, so skipping the fault path
     // entirely makes "rate 0 equals no injection" structural rather than
     // statistical.
     let loss = loss.filter(|profile| !profile.is_lossless());
+
+    // The dense state (see "Session state"), in one pass over the
+    // sessions. Every 32-bit id is checked here, once.
+    let fits = {
+        let too_large = SimError::ComponentTooLarge {
+            sessions: sessions.len(),
+            nodes: n,
+        };
+        move |value: u64| u32::try_from(value).map_err(|_| too_large.clone())
+    };
+    let count = fits(sessions.len() as u64)?;
+    fits(n as u64)?;
+    let view: &[SessionRuntime] = sessions;
+    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(view.len());
+    let mut rare: Vec<Rare> = Vec::with_capacity(view.len());
+    let mut node_map: Vec<u32> = Vec::new();
+    let mut chunk_state: Vec<(Time, u32)> = Vec::new();
+    let mut status_len = 0u64;
+    for session in view {
+        debug_assert_eq!(session.children.len(), session.node_map.len());
+        let nodes = fits(session.node_map.len() as u64)?;
+        let members = nodes - 1;
+        slots.push(Slot {
+            children: &session.children,
+            repairer: session.repairer.as_deref(),
+            id: session.id,
+            completed_at: session.completed_at,
+            delivered_at: session.delivered_at,
+            node_base: fits(node_map.len() as u64)?,
+            chunk_base: fits(chunk_state.len() as u64)?,
+            status_base: fits(status_len)?,
+            chunks: session.chunks,
+            pending: fits(u64::from(members) * u64::from(session.chunks))?,
+            pipelined: session.pipelined,
+            started: session.started.is_some(),
+            abandoned: session.abandoned,
+        });
+        rare.push(Rare {
+            arrival: session.arrival,
+            deadline: session.deadline,
+            chunk_interval: session.chunk_interval,
+            started_at: session.started.unwrap_or(Time::ZERO),
+            nacks: session.nacks,
+            repair_sends: session.repair_sends,
+            failed_members: session.failed_members,
+        });
+        // Node ids are below `n`, which fits 32 bits.
+        node_map.extend(session.node_map.iter().map(|&node| node as u32));
+        if session.chunks > 1 {
+            let fresh = (session.arrival, members);
+            chunk_state.resize(chunk_state.len() + session.chunks as usize, fresh);
+        }
+        status_len += u64::from(nodes) * u64::from(session.chunks);
+    }
+    // Parked requests name status bytes by 32-bit index.
+    fits(status_len)?;
+    let (mut status, mut first_missed) = match loss {
+        Some(_) => {
+            let mut status = vec![PENDING; status_len as usize];
+            for s in &slots {
+                for chunk in 0..s.chunks {
+                    // The source holds every chunk from its release.
+                    status[s.status(chunk, 0)] = REACHED;
+                }
+            }
+            (status, vec![Time::ZERO; status_len as usize])
+        }
+        None => (Vec::new(), Vec::new()),
+    };
+
     let mut busy_until = busy0.to_vec();
     let mut busy_time = vec![0u64; n];
-    let mut waiting: Vec<VecDeque<(usize, KernelEvent)>> = vec![VecDeque::new(); n];
+    let mut waiting: Vec<VecDeque<(u32, KernelEvent)>> = vec![VecDeque::new(); n];
     let mut queue = RadixQueue::new();
     let mut seq = 0u64;
-    let mut repair: Vec<RepairState> = match loss {
-        Some(_) => sessions
-            .iter()
-            .map(|session| RepairState::new(session.node_map.len(), session.chunks))
-            .collect(),
-        None => Vec::new(),
-    };
+    // Repair requests parked on a repairer not yet reached, as (the
+    // repairer's status index, requesting node, attempt) in park order.
+    let mut parked: Vec<(u32, u32, u32)> = Vec::new();
+    // Repair delays as (slot, delay) in completion order, handed to the
+    // sessions at exit.
+    let mut repair_delays: Vec<(u32, u64)> = Vec::new();
 
     // Lazy injection order: by arrival, ties by slot (= request order).
-    let mut order: Vec<usize> = (0..sessions.len()).collect();
-    order.sort_by_key(|&slot| (sessions[slot].arrival, slot));
+    let mut order: Vec<u32> = (0..count).collect();
+    order.sort_by_key(|&slot| (rare[slot as usize].arrival, slot));
     let mut next_inject = 0usize;
-
-    // Session ids by slot, so wake emissions can name the woken session
-    // while another session holds the `&mut sessions` borrow. Only traced
-    // runs pay for the table.
-    let ids: Vec<u64> = match trace {
-        Some(_) => sessions.iter().map(|session| session.id).collect(),
-        None => Vec::new(),
-    };
 
     macro_rules! push {
         ($time:expr, $slot:expr, $event:expr) => {{
@@ -543,73 +693,75 @@ fn run(
         };
     }
 
-    // Gives receiver `$local` of the session in `$slot` up on chunk
-    // `$chunk` at time `$t`: graceful degradation shared by retry
+    // Opens chunk `$chunk + 1` of the sequential train in `$s` once chunk
+    // `$chunk` has settled at every member at `$t`, and its release is due.
+    macro_rules! settle {
+        ($s:expr, $slot:expr, $chunk:expr, $t:expr) => {{
+            let pending = &mut chunk_state[$s.chunk($chunk)].1;
+            *pending -= 1;
+            if *pending == 0 && !$s.pipelined && $chunk + 1 < $s.chunks {
+                let release = $t.max(rare[$slot as usize].release($chunk + 1));
+                trace_ev!(TraceEvent::new(release.raw(), Kind::ChunkRelease, $s.id)
+                    .node(node_map[$s.node(0)] as usize)
+                    .band(1)
+                    .chunk($chunk + 1)
+                    .seq(seq));
+                push!(
+                    release,
+                    $slot,
+                    KernelEvent::Send {
+                        local: 0,
+                        child: 0,
+                        chunk: $chunk + 1,
+                    }
+                );
+            }
+        }};
+    }
+
+    // Gives receiver `$local` of the session in `$slot` (record `$s`) up
+    // on chunk `$chunk` at time `$t`: graceful degradation shared by retry
     // exhaustion and repair-deadline expiry. The would-be children are
     // pointed at their own repairers and requests parked on the failed
     // node escalate. Streaming bookkeeping mirrors the receive path, so a
     // lost cause still advances a sequential chunk train.
     macro_rules! give_up {
-        ($state:expr, $session:expr, $slot:expr, $local:expr, $chunk:expr, $t:expr) => {{
-            let at = $state.idx($chunk, $local);
-            $state.slots[at] = RepairSlot::Failed;
-            $session.pending -= 1;
-            $session.failed_members += 1;
-            trace_ev!(TraceEvent::new($t.raw(), Kind::Abandon, $session.id)
-                .node($session.node_map[$local])
+        ($s:expr, $slot:expr, $local:expr, $chunk:expr, $t:expr) => {{
+            let at = $s.status($chunk, $local);
+            let was = status[at];
+            status[at] = FAILED;
+            $s.pending -= 1;
+            rare[$slot as usize].failed_members += 1;
+            trace_ev!(TraceEvent::new($t.raw(), Kind::Abandon, $s.id)
+                .node(node_map[$s.node($local)] as usize)
                 .band(2)
                 .chunk($chunk));
-            for child in 0..$session.children[$local].len() {
-                let c = $session.children[$local][child];
+            for &c in &$s.children[$local as usize] {
                 push!(
                     $t + net.latency(),
                     $slot,
                     KernelEvent::Nack {
-                        local: c,
+                        local: c as u32,
                         attempt: 1,
                         chunk: $chunk,
                     }
                 );
             }
-            $state.unpark(at, |target, attempt| {
-                push!(
-                    $t,
-                    $slot,
-                    KernelEvent::RepairSend {
-                        local: target,
-                        attempt,
-                        chunk: $chunk,
-                    }
-                )
-            });
-            if $session.chunks > 1 {
-                let c = $chunk as usize;
-                $session.chunk_pending[c] -= 1;
-                if $session.chunk_pending[c] == 0
-                    && !$session.pipelined
-                    && $chunk + 1 < $session.chunks
-                {
-                    let release =
-                        $session.arrival + $session.chunk_interval * (u64::from($chunk) + 1);
-                    trace_ev!(TraceEvent::new(
-                        $t.max(release).raw(),
-                        Kind::ChunkRelease,
-                        $session.id
-                    )
-                    .node($session.node_map[0])
-                    .band(1)
-                    .chunk($chunk + 1)
-                    .seq(seq));
+            if was & PARKED != 0 {
+                unpark(&mut parked, at, |target, attempt| {
                     push!(
-                        $t.max(release),
+                        $t,
                         $slot,
-                        KernelEvent::Send {
-                            local: 0,
-                            child: 0,
-                            chunk: $chunk + 1,
+                        KernelEvent::RepairSend {
+                            local: target,
+                            attempt,
+                            chunk: $chunk,
                         }
-                    );
-                }
+                    )
+                });
+            }
+            if $s.chunks > 1 {
+                settle!($s, $slot, $chunk, $t);
             }
         }};
     }
@@ -618,7 +770,7 @@ fn run(
     // for Free events).
     for (node, &until) in busy_until.iter().enumerate() {
         if until > Time::ZERO {
-            push!(until, 0, KernelEvent::Free { node });
+            push!(until, 0, KernelEvent::Free { node: node as u32 });
         }
     }
 
@@ -629,16 +781,14 @@ fn run(
         // executes; band 0 then lets it open first (rule 1).
         while next_inject < order.len() {
             let slot = order[next_inject];
-            let arrival = sessions[slot].arrival;
+            let (s, arrival) = (&slots[slot as usize], rare[slot as usize].arrival);
             if queue.min_time().is_some_and(|t| arrival > t) {
                 break;
             }
-            if !sessions[slot].children[0].is_empty() {
-                trace_ev!(
-                    TraceEvent::new(arrival.raw(), Kind::SessionOpen, sessions[slot].id)
-                        .node(sessions[slot].node_map[0])
-                        .seq(next_inject as u64)
-                );
+            if !s.children[0].is_empty() {
+                trace_ev!(TraceEvent::new(arrival.raw(), Kind::SessionOpen, s.id)
+                    .node(node_map[s.node(0)] as usize)
+                    .seq(next_inject as u64));
                 queue.push((
                     arrival,
                     0,
@@ -658,22 +808,25 @@ fn run(
         };
 
         if let KernelEvent::Free { node } = event {
+            let node = node as usize;
             // Obsolete when a same-instant event already re-claimed the
             // node; the claimant scheduled its own wake (rule 5).
             if busy_until[node] <= t {
-                if let Some((waiter, parked)) = waiting[node].pop_front() {
-                    trace_ev!(TraceEvent::new(t.raw(), Kind::Wake, ids[waiter])
-                        .node(node)
-                        .band(parked.band())
-                        .chunk(parked.chunk())
-                        .seq(seq));
-                    push!(t, waiter, parked);
+                if let Some((waiter, claim)) = waiting[node].pop_front() {
+                    trace_ev!(
+                        TraceEvent::new(t.raw(), Kind::Wake, slots[waiter as usize].id)
+                            .node(node)
+                            .band(claim.band())
+                            .chunk(claim.chunk())
+                            .seq(seq)
+                    );
+                    push!(t, waiter, claim);
                 }
             }
             continue;
         }
 
-        let session = &mut sessions[slot];
+        let s = &mut slots[slot as usize];
         // A popped claim always belongs to a live session: a session can
         // only abandon at its first-ever claim (`started` is still `None`),
         // and until that claim executes it is the session's *only* event —
@@ -683,10 +836,10 @@ fn run(
         // were this reachable, a popped claim on a free node would have to
         // pass the node to the next parked waiter or risk starvation.
         debug_assert!(
-            !session.abandoned,
+            !s.abandoned,
             "event popped for abandoned session in slot {slot}"
         );
-        if session.abandoned {
+        if s.abandoned {
             continue;
         }
         match event {
@@ -695,9 +848,9 @@ fn run(
                 child,
                 chunk,
             } => {
-                let node = session.node_map[local];
+                let node = node_map[s.node(local)] as usize;
                 if busy_until[node] > t {
-                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, session.id)
+                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, s.id)
                         .node(node)
                         .band(event.band())
                         .chunk(chunk)
@@ -705,28 +858,33 @@ fn run(
                     waiting[node].push_back((slot, event));
                     continue;
                 }
-                if session.started.is_none() {
+                if !s.started {
                     // First activity of the session: the churn gate.
-                    if session.deadline.is_some_and(|d| t > d) {
-                        session.abandoned = true;
-                        trace_ev!(TraceEvent::new(t.raw(), Kind::Abandon, session.id)
+                    if rare[slot as usize].deadline.is_some_and(|d| t > d) {
+                        s.abandoned = true;
+                        trace_ev!(TraceEvent::new(t.raw(), Kind::Abandon, s.id)
                             .node(node)
                             .band(1)
                             .chunk(chunk));
                         // The session declined a free node; pass it on so
                         // parked waiters never starve (no wake is pending
                         // for this idle node).
-                        if let Some((waiter, parked)) = waiting[node].pop_front() {
-                            trace_ev!(TraceEvent::new(t.raw(), Kind::Wake, ids[waiter])
-                                .node(node)
-                                .band(parked.band())
-                                .chunk(parked.chunk())
-                                .seq(seq));
-                            push!(t, waiter, parked);
+                        if let Some((waiter, claim)) = waiting[node].pop_front() {
+                            trace_ev!(TraceEvent::new(
+                                t.raw(),
+                                Kind::Wake,
+                                slots[waiter as usize].id
+                            )
+                            .node(node)
+                            .band(claim.band())
+                            .chunk(claim.chunk())
+                            .seq(seq));
+                            push!(t, waiter, claim);
                         }
                         continue;
                     }
-                    session.started = Some(t);
+                    s.started = true;
+                    rare[slot as usize].started_at = t;
                 }
                 let dur = specs[node].send();
                 let end = t + dur;
@@ -735,24 +893,26 @@ fn run(
                 if let Some(log) = log.as_deref_mut() {
                     log.push((node, t, end));
                 }
-                trace_ev!(TraceEvent::new(t.raw(), Kind::SendStart, session.id)
+                trace_ev!(TraceEvent::new(t.raw(), Kind::SendStart, s.id)
                     .node(node)
                     .band(1)
                     .chunk(chunk)
                     .seq(eseq)
                     .dur(dur.raw()));
-                trace_ev!(TraceEvent::new(end.raw(), Kind::SendFinish, session.id)
+                trace_ev!(TraceEvent::new(end.raw(), Kind::SendFinish, s.id)
                     .node(node)
                     .band(1)
                     .chunk(chunk)
                     .seq(eseq));
-                let target = session.children[local][child];
+                let siblings = &s.children[local as usize];
+                let target = siblings[child as usize];
                 // A lost delivery consumed the sender's occupancy all the
                 // same; the receiver detects the gap one latency later
                 // (when the delivery would have landed) and NACKs.
                 let lost = loss.is_some_and(|profile| {
-                    profile.lost(fault_id(session.id, chunk), local, target, 0, t)
+                    profile.lost(fault_id(s.id, chunk), local as usize, target, 0, t)
                 });
+                let target = target as u32;
                 if lost {
                     push!(
                         end + net.latency(),
@@ -773,7 +933,7 @@ fn run(
                         }
                     );
                 }
-                if child + 1 < session.children[local].len() {
+                if child as usize + 1 < siblings.len() {
                     push!(
                         end,
                         slot,
@@ -783,22 +943,18 @@ fn run(
                             chunk,
                         }
                     );
-                } else if local == 0 && session.pipelined && chunk + 1 < session.chunks {
+                } else if local == 0 && s.pipelined && chunk + 1 < s.chunks {
                     // Pipelined train: the source opens the next chunk the
                     // moment its port is free and the chunk is released —
                     // relays downstream are still draining this one.
-                    let release = session.arrival + session.chunk_interval * (u64::from(chunk) + 1);
-                    trace_ev!(TraceEvent::new(
-                        end.max(release).raw(),
-                        Kind::ChunkRelease,
-                        session.id
-                    )
-                    .node(node)
-                    .band(1)
-                    .chunk(chunk + 1)
-                    .seq(seq));
+                    let release = end.max(rare[slot as usize].release(chunk + 1));
+                    trace_ev!(TraceEvent::new(release.raw(), Kind::ChunkRelease, s.id)
+                        .node(node)
+                        .band(1)
+                        .chunk(chunk + 1)
+                        .seq(seq));
                     push!(
-                        end.max(release),
+                        release,
                         slot,
                         KernelEvent::Send {
                             local: 0,
@@ -807,19 +963,19 @@ fn run(
                         }
                     );
                 }
-                push!(end, slot, KernelEvent::Free { node });
+                push!(end, slot, KernelEvent::Free { node: node as u32 });
             }
             KernelEvent::Arrive { local, chunk } => {
                 // Delivery is the message hitting the node, busy or not;
                 // the receive overhead queues for node time separately
                 // (rule 4).
-                session.delivered_at = session.delivered_at.max(t);
+                s.delivered_at = s.delivered_at.max(t);
                 push!(t, slot, KernelEvent::Recv { local, chunk });
             }
             KernelEvent::Recv { local, chunk } => {
-                let node = session.node_map[local];
+                let node = node_map[s.node(local)] as usize;
                 if busy_until[node] > t {
-                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, session.id)
+                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, s.id)
                         .node(node)
                         .band(event.band())
                         .chunk(chunk)
@@ -834,71 +990,46 @@ fn run(
                 if let Some(log) = log.as_deref_mut() {
                     log.push((node, t, end));
                 }
-                trace_ev!(TraceEvent::new(t.raw(), Kind::Receive, session.id)
+                trace_ev!(TraceEvent::new(t.raw(), Kind::Receive, s.id)
                     .node(node)
                     .band(1)
                     .chunk(chunk)
                     .seq(eseq)
                     .dur(dur.raw()));
-                session.pending -= 1;
-                session.completed_at = session.completed_at.max(end);
-                if !repair.is_empty() {
-                    let state = &mut repair[slot];
-                    let at = state.idx(chunk, local);
-                    if let RepairSlot::Pending(Some(first_missed)) = state.slots[at] {
-                        session
-                            .repair_delays
-                            .push(end.saturating_sub(first_missed).raw());
+                s.pending -= 1;
+                s.completed_at = s.completed_at.max(end);
+                if loss.is_some() {
+                    let at = s.status(chunk, local);
+                    let was = status[at];
+                    if was & STATE == MISSED {
+                        repair_delays.push((slot, end.saturating_sub(first_missed[at]).raw()));
                     }
-                    state.slots[at] = RepairSlot::Reached;
-                    // The node holds the chunk now: replay every repair
-                    // request that was waiting for it.
-                    state.unpark(at, |target, attempt| {
-                        push!(
-                            end,
-                            slot,
-                            KernelEvent::RepairSend {
-                                local: target,
-                                attempt,
-                                chunk,
-                            }
-                        )
-                    });
-                }
-                if session.chunks > 1 {
-                    let c = chunk as usize;
-                    session.chunk_pending[c] -= 1;
-                    session.chunk_completed_at[c] = session.chunk_completed_at[c].max(end);
-                    if session.chunk_pending[c] == 0
-                        && !session.pipelined
-                        && chunk + 1 < session.chunks
-                    {
-                        // Sequential train (the one-shot re-send baseline):
-                        // the next chunk only opens once this one has fully
-                        // settled at every member and its release is due.
-                        let release =
-                            session.arrival + session.chunk_interval * (u64::from(chunk) + 1);
-                        trace_ev!(TraceEvent::new(
-                            end.max(release).raw(),
-                            Kind::ChunkRelease,
-                            session.id
-                        )
-                        .node(session.node_map[0])
-                        .band(1)
-                        .chunk(chunk + 1)
-                        .seq(seq));
-                        push!(
-                            end.max(release),
-                            slot,
-                            KernelEvent::Send {
-                                local: 0,
-                                child: 0,
-                                chunk: chunk + 1,
-                            }
-                        );
+                    status[at] = REACHED;
+                    if was & PARKED != 0 {
+                        // The node holds the chunk now: replay every repair
+                        // request that was waiting for it.
+                        unpark(&mut parked, at, |target, attempt| {
+                            push!(
+                                end,
+                                slot,
+                                KernelEvent::RepairSend {
+                                    local: target,
+                                    attempt,
+                                    chunk,
+                                }
+                            )
+                        });
                     }
                 }
-                if !session.children[local].is_empty() {
+                if s.chunks > 1 {
+                    let done = &mut chunk_state[s.chunk(chunk)].0;
+                    *done = (*done).max(end);
+                    // Sequential train (the one-shot re-send baseline): the
+                    // next chunk only opens once this one has fully settled
+                    // at every member and its release is due.
+                    settle!(s, slot, chunk, end);
+                }
+                if !s.children[local as usize].is_empty() {
                     push!(
                         end,
                         slot,
@@ -909,7 +1040,7 @@ fn run(
                         }
                     );
                 }
-                push!(end, slot, KernelEvent::Free { node });
+                push!(end, slot, KernelEvent::Free { node: node as u32 });
             }
             KernelEvent::Nack {
                 local,
@@ -917,28 +1048,31 @@ fn run(
                 chunk,
             } => {
                 let profile = loss.expect("repair events only exist in faulted runs");
-                let state = &mut repair[slot];
-                let at = state.idx(chunk, local);
-                let RepairSlot::Pending(missed) = &mut state.slots[at] else {
-                    continue;
-                };
-                let first_missed = *missed.get_or_insert(t);
+                let at = s.status(chunk, local);
+                match status[at] & STATE {
+                    PENDING => {
+                        status[at] |= MISSED;
+                        first_missed[at] = t;
+                    }
+                    MISSED => {}
+                    _ => continue,
+                }
                 let expired = profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d));
+                    .is_some_and(|d| t.raw() > first_missed[at].raw().saturating_add(d));
                 if attempt > profile.max_retries || expired {
                     // Retries exhausted or recovery-liveness bound blown:
                     // the session completes partially.
-                    give_up!(state, session, slot, local, chunk, t);
+                    give_up!(s, slot, local, chunk, t);
                     continue;
                 }
-                session.nacks += 1;
-                trace_ev!(TraceEvent::new(t.raw(), Kind::Nack, session.id)
-                    .node(session.node_map[local])
+                rare[slot as usize].nacks += 1;
+                trace_ev!(TraceEvent::new(t.raw(), Kind::Nack, s.id)
+                    .node(node_map[s.node(local)] as usize)
                     .band(2)
                     .chunk(chunk)
                     .seq(eseq));
-                let delay = profile.retry_delay(fault_id(session.id, chunk), local, attempt);
+                let delay = profile.retry_delay(fault_id(s.id, chunk), local as usize, attempt);
                 push!(
                     t + Time::new(delay),
                     slot,
@@ -955,32 +1089,37 @@ fn run(
                 chunk,
             } => {
                 let profile = loss.expect("repair events only exist in faulted runs");
-                let state = &mut repair[slot];
-                let at = state.idx(chunk, local);
-                let RepairSlot::Pending(missed) = state.slots[at] else {
+                let at = s.status(chunk, local);
+                if status[at] & STATE > MISSED {
                     continue;
-                };
-                let first_missed = missed.expect("set by the NACK that scheduled this repair");
+                }
+                debug_assert_eq!(
+                    status[at] & STATE,
+                    MISSED,
+                    "the NACK that scheduled this repair marked the miss"
+                );
                 // Resolve the repairer, escalating past failed ones; every
                 // placement walks strictly upstream and the source is
-                // always `Reached` (it holds every chunk from release), so
+                // always reached (it holds every chunk from release), so
                 // this terminates.
-                let repairer_of = |v: usize| session.repairer.as_ref().map_or(0, |table| table[v]);
+                let repairer = s.repairer;
+                let repairer_of = |v: u32| repairer.map_or(0, |table| table[v as usize] as u32);
                 let mut rp = repairer_of(local);
-                while matches!(state.slots[state.idx(chunk, rp)], RepairSlot::Failed) {
+                while status[s.status(chunk, rp)] & STATE == FAILED {
                     rp = repairer_of(rp);
                 }
-                let park = state.idx(chunk, rp);
-                if matches!(state.slots[park], RepairSlot::Pending(_)) {
+                let park = s.status(chunk, rp);
+                if status[park] & STATE <= MISSED {
                     // The repairer has not been served this chunk yet
                     // itself; park the request — its reception (or
                     // failure) replays it.
-                    state.parked.push((park, local, attempt));
+                    status[park] |= PARKED;
+                    parked.push((park as u32, local, attempt));
                     continue;
                 }
-                let node = session.node_map[rp];
+                let node = node_map[s.node(rp)] as usize;
                 if busy_until[node] > t {
-                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, session.id)
+                    trace_ev!(TraceEvent::new(t.raw(), Kind::Park, s.id)
                         .node(node)
                         .band(event.band())
                         .chunk(chunk)
@@ -996,16 +1135,18 @@ fn run(
                 // so parked waiters never starve.
                 if profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > first_missed.raw().saturating_add(d))
+                    .is_some_and(|d| t.raw() > first_missed[at].raw().saturating_add(d))
                 {
-                    give_up!(state, session, slot, local, chunk, t);
-                    if let Some((waiter, parked)) = waiting[node].pop_front() {
-                        trace_ev!(TraceEvent::new(t.raw(), Kind::Wake, ids[waiter])
-                            .node(node)
-                            .band(parked.band())
-                            .chunk(parked.chunk())
-                            .seq(seq));
-                        push!(t, waiter, parked);
+                    give_up!(s, slot, local, chunk, t);
+                    if let Some((waiter, claim)) = waiting[node].pop_front() {
+                        trace_ev!(
+                            TraceEvent::new(t.raw(), Kind::Wake, slots[waiter as usize].id)
+                                .node(node)
+                                .band(claim.band())
+                                .chunk(claim.chunk())
+                                .seq(seq)
+                        );
+                        push!(t, waiter, claim);
                     }
                     continue;
                 }
@@ -1016,14 +1157,20 @@ fn run(
                 if let Some(log) = log.as_deref_mut() {
                     log.push((node, t, end));
                 }
-                trace_ev!(TraceEvent::new(t.raw(), Kind::Repair, session.id)
+                trace_ev!(TraceEvent::new(t.raw(), Kind::Repair, s.id)
                     .node(node)
                     .band(2)
                     .chunk(chunk)
                     .seq(eseq)
                     .dur(dur.raw()));
-                session.repair_sends += 1;
-                let lost = profile.lost(fault_id(session.id, chunk), rp, local, attempt, t);
+                rare[slot as usize].repair_sends += 1;
+                let lost = profile.lost(
+                    fault_id(s.id, chunk),
+                    rp as usize,
+                    local as usize,
+                    attempt,
+                    t,
+                );
                 if lost {
                     push!(
                         end + net.latency(),
@@ -1041,18 +1188,42 @@ fn run(
                         KernelEvent::Arrive { local, chunk }
                     );
                 }
-                push!(end, slot, KernelEvent::Free { node });
+                push!(end, slot, KernelEvent::Free { node: node as u32 });
             }
-            KernelEvent::Free { .. } => unreachable!("handled before the session borrow"),
+            KernelEvent::Free { .. } => unreachable!("handled before the slot borrow"),
         }
     }
-    debug_assert!(sessions
-        .iter()
-        .all(|session| session.abandoned || session.pending == 0));
-    CarryOut {
+    debug_assert!(slots.iter().all(|s| s.abandoned || s.pending == 0));
+
+    // Write-back: the records give up their borrow of the sessions' plans,
+    // and each session receives its outcome once.
+    let ends: Vec<(bool, bool, Time, Time)> = slots
+        .into_iter()
+        .map(|s| (s.started, s.abandoned, s.completed_at, s.delivered_at))
+        .collect();
+    let mut chunk_base = 0;
+    for ((session, end), rare) in sessions.iter_mut().zip(ends).zip(rare) {
+        let (started, abandoned, completed_at, delivered_at) = end;
+        session.started = started.then_some(rare.started_at);
+        session.abandoned = abandoned;
+        session.completed_at = completed_at;
+        session.delivered_at = delivered_at;
+        session.nacks = rare.nacks;
+        session.repair_sends = rare.repair_sends;
+        session.failed_members = rare.failed_members;
+        if session.chunks > 1 {
+            let chunks = &chunk_state[chunk_base..][..session.chunks as usize];
+            session.chunk_completed_at = chunks.iter().map(|&(done, _)| done).collect();
+            chunk_base += chunks.len();
+        }
+    }
+    for (slot, delay) in repair_delays {
+        sessions[slot as usize].repair_delays.push(delay);
+    }
+    Ok(CarryOut {
         busy_time,
         busy_until,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1077,6 +1248,58 @@ mod tests {
         };
         let gap = rng.next_u64() >> (64 - bits) | 1 << (bits - 1);
         gap.min(u64::MAX - now)
+    }
+
+    /// Source 0 sends to 1, then to 2, and 2's repairer is its sibling 1,
+    /// which no placement picks (each picks a proper ancestor, which holds
+    /// the chunk before any descendant can miss it). Returns the session
+    /// after a run under `loss`, with its trace.
+    fn sibling_repair(loss: &LossProfile) -> (SessionRuntime, Vec<TraceEvent>) {
+        let mut session = SessionRuntime::new(
+            7,
+            Time::ZERO,
+            vec![0, 1, 2],
+            std::sync::Arc::new(vec![vec![1, 2], vec![], vec![]]),
+        );
+        session.repairer = Some(std::sync::Arc::new(vec![0, 0, 1]));
+        let sink = hnow_telemetry::MemorySink::new();
+        let recorder = Recorder::new(&sink);
+        let specs = [NodeSpec::new(2, 3); 3];
+        simulate(
+            &specs,
+            NetParams::new(1),
+            std::slice::from_mut(&mut session),
+            Some(loss),
+            Some(&recorder),
+        )
+        .unwrap();
+        (session, sink.take())
+    }
+
+    #[test]
+    fn a_repair_request_parked_on_an_unreached_repairer_replays_when_it_is_reached() {
+        // Seed 15 loses both first deliveries. Node 2's loss lands at 5
+        // (sends 0..2 and 2..4, latency 1), and its retransmission is due
+        // before node 1 starts receiving its own repair at 14. So the
+        // request parks on node 1 and is replayed the instant that
+        // reception ends, at 17, without queueing on the node.
+        let loss = LossProfile::iid(0.5, 15);
+        let issued = 5 + loss.retry_delay(7, 2, 1);
+        assert!(issued < 14, "the request must find node 1 unreached");
+        let (session, events) = sibling_repair(&loss);
+        let at = |kind| -> Vec<(u64, Option<usize>)> {
+            events
+                .iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| (e.time, e.node))
+                .collect()
+        };
+        assert_eq!(at(Kind::Repair), [(11, Some(0)), (17, Some(1))]);
+        assert_eq!(at(Kind::Receive), [(14, Some(1)), (20, Some(2))]);
+        assert!(at(Kind::Park).is_empty());
+        assert_eq!((session.nacks, session.repair_sends), (2, 2));
+        assert_eq!(session.failed_members, 0);
+        assert_eq!(session.completed_at, Time::new(23));
     }
 
     #[test]

@@ -93,7 +93,8 @@ pub fn kernel_replay(tree: &ScheduleTree, specs: &[NodeSpec], net: NetParams) ->
         (0..tree.num_nodes()).collect(),
         Arc::new(children_lists(tree)),
     );
-    kernel::simulate(specs, net, std::slice::from_mut(&mut session), None, None);
+    kernel::simulate(specs, net, std::slice::from_mut(&mut session), None, None)
+        .expect("a schedule tree's node ids fit the kernel's 32-bit ids");
     (session.delivered_at, session.completed_at)
 }
 

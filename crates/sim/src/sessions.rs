@@ -577,10 +577,17 @@ impl<'a> TrafficEngine<'a> {
     }
 }
 
+/// Most `(chunk, node)` slots one session may hold: (members + 1) ×
+/// chunks. The kernel keeps about 9 bytes of repair state per slot on lossy
+/// runs, so the bound caps one session at about 9 MB of it, and keeps every
+/// local index of the kernel's flat arrays within 32 bits.
+pub const MAX_TRAIN_SLOTS: u64 = 1 << 20;
+
 /// Per-session state during planning and simulation: the pipeline builds
 /// one per admitted request, with pool-global node maps (trees stitched
 /// from their cached block plans for cross-shard sessions), and hands them
-/// to the occupancy kernel.
+/// to the occupancy kernel, which reads them once at entry and writes the
+/// outcome fields back once at exit.
 pub(crate) struct SessionRuntime {
     /// Request id; the loss model keys its draws by it (never by slot or
     /// event order), so epoch slicing and sharding cannot change draws.
@@ -604,8 +611,6 @@ pub(crate) struct SessionRuntime {
     pub(crate) planned_delivery: Time,
     pub(crate) started: Option<Time>,
     pub(crate) abandoned: bool,
-    /// Destinations still to complete reception.
-    pub(crate) pending: usize,
     pub(crate) completed_at: Time,
     pub(crate) delivered_at: Time,
     /// Repair requests issued by this session's receivers.
@@ -628,9 +633,8 @@ pub(crate) struct SessionRuntime {
     /// Pipelined train (source opens the next chunk as soon as its port
     /// frees) vs sequential one-shot re-sends.
     pub(crate) pipelined: bool,
-    /// Destinations still to settle each chunk (empty unless `chunks > 1`).
-    pub(crate) chunk_pending: Vec<usize>,
-    /// Latest reception completion per chunk (empty unless `chunks > 1`).
+    /// Latest reception completion per chunk, written by the kernel at exit
+    /// (empty unless `chunks > 1` and the session was simulated).
     pub(crate) chunk_completed_at: Vec<Time>,
 }
 
@@ -650,7 +654,6 @@ impl SessionRuntime {
             deadline: None,
             home_shard: 0,
             remote_shards: Vec::new(),
-            pending: node_map.len() - 1,
             node_map,
             children,
             repairer: None,
@@ -668,21 +671,31 @@ impl SessionRuntime {
             chunk_interval: Time::ZERO,
             chunk_deadline: None,
             pipelined: true,
-            chunk_pending: Vec::new(),
             chunk_completed_at: Vec::new(),
         }
     }
 
-    /// Stamps a chunk profile onto a planned runtime: scales `pending` to
-    /// members × chunks and sizes the per-chunk bookkeeping. `None` — or a
+    /// Stamps a chunk profile onto a planned runtime. `None` — or a
     /// degenerate 1-chunk profile — leaves the atomic defaults untouched.
+    /// Nothing is sized here: the kernel sizes its per-chunk state from the
+    /// checked product below.
     ///
-    /// Rejects with [`SimError::TimeOverflow`] a session whose last chunk
-    /// release (`arrival + interval × (chunks − 1)`) plus its planned
-    /// completion (the later of `R_T` and `D_T`) does not fit in [`Time`],
-    /// so hostile intervals surface as an error instead of wrapped times.
+    /// Rejects with [`SimError::TrainTooLarge`] a session whose
+    /// `(members + 1) × chunks` exceeds [`MAX_TRAIN_SLOTS`], and with
+    /// [`SimError::TimeOverflow`] one whose last chunk release
+    /// (`arrival + interval × (chunks − 1)`) plus its planned completion
+    /// (the later of `R_T` and `D_T`) does not fit in [`Time`], so hostile
+    /// trains surface as errors instead of failed allocations or wrapped
+    /// times.
     pub(crate) fn apply_chunks(&mut self, profile: Option<ChunkProfile>) -> Result<(), SimError> {
         let (chunks, interval) = profile.map_or((1, 0), |p| (p.chunks.max(1), p.interval));
+        let slots = (self.node_map.len() as u64).saturating_mul(u64::from(chunks));
+        if slots > MAX_TRAIN_SLOTS {
+            return Err(SimError::TrainTooLarge {
+                session: self.id,
+                slots,
+            });
+        }
         let planned = self.planned_reception.max(self.planned_delivery);
         interval
             .checked_mul(u64::from(chunks - 1))
@@ -696,12 +709,6 @@ impl SessionRuntime {
         self.chunk_interval = Time::new(interval);
         self.chunk_deadline = profile.deadline.map(Time::new);
         self.pipelined = profile.pipelined;
-        if chunks > 1 {
-            let members = self.pending;
-            self.pending = members * chunks as usize;
-            self.chunk_pending = vec![members; chunks as usize];
-            self.chunk_completed_at = vec![self.arrival; chunks as usize];
-        }
         Ok(())
     }
 }
@@ -827,6 +834,8 @@ pub(crate) mod reference {
             vec![std::collections::VecDeque::new(); n];
         let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
         let mut seq = 0u64;
+        // Destinations still to complete reception, per session.
+        let mut pending: Vec<usize> = sessions.iter().map(|s| s.node_map.len() - 1).collect();
         let push = |heap: &mut BinaryHeap<QueueItem>,
                     seq: &mut u64,
                     time: Time,
@@ -926,7 +935,7 @@ pub(crate) mod reference {
                     let end = t + dur;
                     busy_until[node] = end;
                     busy_time[node] += dur.raw();
-                    session.pending -= 1;
+                    pending[s] -= 1;
                     session.completed_at = session.completed_at.max(end);
                     if !session.children[local].is_empty() {
                         push(
@@ -947,7 +956,8 @@ pub(crate) mod reference {
         }
         debug_assert!(sessions
             .iter()
-            .all(|session| session.abandoned || session.pending == 0));
+            .zip(&pending)
+            .all(|(session, &pending)| session.abandoned || pending == 0));
         busy_time
     }
 }
@@ -1224,6 +1234,39 @@ mod tests {
     }
 
     #[test]
+    fn oversized_chunk_trains_are_rejected_before_allocating_on_both_engines() {
+        // A u32::MAX-chunk train at interval 0 fits the clock, but its
+        // (members + 1) × chunks state would take tens of GB per session:
+        // both entry points must refuse it with a typed error before
+        // sizing anything from the chunk count.
+        let pool = pool();
+        let net = NetParams::new(2);
+        let requests = spaced_requests(&pool, 4, 10);
+        let hostile = RunConfig::default().with_chunks(ChunkProfile::new(u32::MAX, 0));
+        let slots = (requests[0].members.len() as u64 + 1) * u64::from(u32::MAX);
+        let flat = TrafficEngine::with_config(&pool, net, &hostile).run(&requests);
+        assert_eq!(
+            flat.map(|_| ()),
+            Err(SimError::TrainTooLarge {
+                session: requests[0].id,
+                slots
+            })
+        );
+        let sharded = ShardedCluster::with_config(&pool, net, &hostile.clone().sharded(2))
+            .unwrap()
+            .run(&requests);
+        assert!(
+            matches!(sharded, Err(SimError::TrainTooLarge { .. })),
+            "the sharded cluster must reject the train"
+        );
+        // The longest train within the bound is accepted.
+        let members = requests[0].members.len() as u64 + 1;
+        let fits = ChunkProfile::new((MAX_TRAIN_SLOTS / members) as u32, 0);
+        let mut runtime = admit_all(&pool, net, &RunConfig::default(), &requests[..1]).remove(0);
+        assert_eq!(runtime.apply_chunks(Some(fits)), Ok(()));
+    }
+
+    #[test]
     fn hostile_retry_backoff_is_rejected_on_both_engines() {
         // A retry waits up to 65 × backoff. At u64::MAX the jitter divisor
         // wraps to zero; at 2^62 the shift drops bits and the retry clock
@@ -1339,7 +1382,7 @@ mod tests {
                 let requests = pattern.generate(&pool, 60, seed).unwrap();
                 let mut unified = admit_all(&pool, net, &config, &requests);
                 let mut old = admit_all(&pool, net, &config, &requests);
-                let unified_busy = kernel::simulate(&specs, net, &mut unified, None, None);
+                let unified_busy = kernel::simulate(&specs, net, &mut unified, None, None).unwrap();
                 let old_busy = reference::simulate(&specs, net, &mut old);
                 let tag = format!("seed {seed}, mean_gap {mean_gap}, churn {churn}");
                 assert_eq!(unified_busy, old_busy, "busy time diverged ({tag})");
