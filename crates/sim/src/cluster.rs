@@ -223,9 +223,10 @@ struct CachedPlan {
     /// The destinations' tree node ids, class by class, for binding them
     /// to a session's members.
     locals: Vec<usize>,
-    /// Repairer assignment over the tree's local ids (`Some` only on lossy
-    /// runs; the policy is constant per run, so it cannot split cache
-    /// keys).
+    /// Repairer assignment over the tree's local ids: `Some` only for shard
+    /// plans on lossy runs (the policy is constant per run, so it cannot
+    /// split cache keys). Gateway plans carry none: a cross-shard session's
+    /// repairers come from [`stitch`] over its stitched child lists.
     repairer: Option<Arc<Vec<usize>>>,
     /// The tree's timing: its `R_T`/`D_T`, and the per-node receptions a
     /// gateway plan's subtrees are shifted by.
@@ -1006,15 +1007,14 @@ impl<'a> ShardedCluster<'a> {
                     TypedMulticast::new(self.pool.specs().to_vec(), key[0], key[1..].to_vec())
                         .map_err(instance_error)?;
                 let set = typed.to_multicast_set().map_err(instance_error)?;
-                // Tree-node specs of the canonical instance, for repairer
-                // placement (the set is about to move into the plan request).
-                let tree_specs: Vec<NodeSpec> =
-                    (0..set.num_nodes()).map(|v| set.spec(NodeId(v))).collect();
                 let plan_request = PlanRequest::new(set, self.net).with_seed(id);
                 let plan = planning.planner.plan_with(&plan_request, ctx)?;
-                let repairer = self
-                    .repair_policy()
-                    .map(|policy| Arc::new(policy.assign(&plan.tree, &tree_specs)));
+                let repairer = shard.and(self.repair_policy()).map(|policy| {
+                    let set = &plan_request.set;
+                    let tree_specs: Vec<NodeSpec> =
+                        (0..set.num_nodes()).map(|v| set.spec(NodeId(v))).collect();
+                    Arc::new(policy.assign(&plan.tree, &tree_specs))
+                });
                 let cached = Arc::new(CachedPlan {
                     children: Arc::new(children_lists(&plan.tree)),
                     locals: typed
