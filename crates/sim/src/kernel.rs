@@ -140,19 +140,17 @@
 //!
 //! # Session state
 //!
-//! The loop never reads a [`SessionRuntime`]. At entry, one pass over the
-//! component's sessions builds the kernel's own dense working state, with
-//! one entry per slot (a session's position in the slice):
+//! At entry, one pass over the component's sessions builds the kernel's own
+//! dense working state, with one entry per slot (a session's position in
+//! the slice):
 //!
 //! * **Records.** One 64-byte record per slot holds every field the loop
-//!   touches per event: the session's id, start, completion and delivery,
-//!   its member receptions still pending (members × chunks), and where its
-//!   entries start in the arrays below. The child lists and the repairer
-//!   table are borrowed from the session's shared plan, so no tree is
-//!   copied or hashed per call. A second record per slot holds what only a
-//!   session's opening, its chunk releases and its repairs touch: arrival,
-//!   patience deadline, release interval, start time, and the NACK,
-//!   retransmission and give-up counts.
+//!   touches per event: the session's id, its patience deadline (then its
+//!   start), completion and delivery, its member receptions still pending
+//!   (members × chunks), and where its entries start in the arrays below.
+//!   The record holds a second handle on the child lists of the session's
+//!   shared plan, so no tree is copied or hashed per call. The injection
+//!   order carries each slot's arrival.
 //! * **Node map.** One flat `u32` array of every session's tree node →
 //!   node id, session after session.
 //! * **Chunks.** One flat `(completed, pending)` entry per chunk of every
@@ -163,15 +161,21 @@
 //!   chunk by chunk: pending, missed, reached or failed in the low two
 //!   bits, plus a has-parked bit, set while repair requests wait on that
 //!   node for that chunk. A reception or a give-up replays parked requests
-//!   only when the bit is set. The instant a node first missed a chunk lives
-//!   in a side array of the same shape, which only the repair path reads:
-//!   NACKs, retransmissions, and the reception that ends a repair.
+//!   only when the bit is set. Only the repair path reads the instant a
+//!   node first missed a chunk: NACKs, retransmissions, and the reception
+//!   that ends a repair. It lives in a side map that holds the misses still
+//!   open. A dense side array, 8 bytes per slot, was the kernel's largest
+//!   table (9 MB on the benchmark's lossy stream), and glibc handed it back
+//!   and faulted it in again on every pass. Each slot's NACK,
+//!   retransmission and give-up counts sit in a side array.
 //!
-//! Sessions stay read-only until the loop ends. The kernel then writes each
-//! slot's outcome back to its session once: start, abandonment, completion
-//! and delivery times, NACK, retransmission and give-up counts, each
-//! chunk's completion time, and the repair delays, which are buffered in
-//! completion order. These are all that
+//! The loop reads a [`SessionRuntime`] only where the records stop: the
+//! repairer table on a retransmission, and the arrival and interval at a
+//! chunk release. Sessions stay read-only until the loop ends. The kernel
+//! then writes each slot's outcome back to its session once: start,
+//! abandonment, completion and delivery times, NACK, retransmission and
+//! give-up counts, each chunk's completion time, and the repair delays,
+//! which are buffered in completion order. These are all that
 //! [`record_for`](crate::sessions::record_for) reads of a run.
 //!
 //! Slots, node ids, tree node ids and chunk indices are 32-bit in the
@@ -187,7 +191,8 @@ use crate::faults::LossProfile;
 use crate::sessions::SessionRuntime;
 use hnow_model::{NetParams, NodeSpec, Time};
 use hnow_telemetry::{Recorder, TraceEvent, TraceEventKind as Kind};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A discrete event of the occupancy simulation. "Claim" events ([`Send`],
 /// [`Recv`], [`RepairSend`]) ask for node time and park in the node's FIFO
@@ -424,12 +429,13 @@ const PARKED: Status = 4;
 /// touches per event, in one cache line (see "Session state" in the module
 /// docs).
 #[repr(align(64))]
-struct Slot<'a> {
-    /// Child lists of the session's shared plan, borrowed for the run.
-    children: &'a Vec<Vec<usize>>,
-    /// Repairer table of the session's shared plan (`None`: source-only).
-    repairer: Option<&'a Vec<usize>>,
+struct Slot {
+    /// Child lists of the session's shared plan: a second handle, no copy.
+    children: Arc<Vec<Vec<usize>>>,
     id: u64,
+    /// Before the session starts, its patience deadline (`Time::MAX` when
+    /// it has none); from its first claim on, when that claim started.
+    gate: Time,
     completed_at: Time,
     delivered_at: Time,
     /// First entry of the session in the flat node map.
@@ -447,7 +453,7 @@ struct Slot<'a> {
     abandoned: bool,
 }
 
-impl Slot<'_> {
+impl Slot {
     /// Index of tree node `local` in the flat node map.
     fn node(&self, local: u32) -> usize {
         debug_assert!((local as usize) < self.children.len());
@@ -468,24 +474,17 @@ impl Slot<'_> {
     }
 }
 
-/// The rest of a slot's state: fields the loop touches only at a session's
-/// opening, at chunk releases and on the repair path.
-struct Rare {
-    arrival: Time,
-    deadline: Option<Time>,
-    chunk_interval: Time,
-    /// The session's first claim (meaningful once the slot has `started`).
-    started_at: Time,
+/// A slot's repair counts, kept on lossy runs only.
+#[derive(Clone, Copy)]
+struct Tally {
     nacks: u64,
     repair_sends: u64,
     failed_members: usize,
 }
 
-impl Rare {
-    /// Release time of chunk `chunk`: `arrival + chunk · interval`.
-    fn release(&self, chunk: u32) -> Time {
-        self.arrival + self.chunk_interval * u64::from(chunk)
-    }
+/// Release time of chunk `chunk` of `session`: `arrival + chunk · interval`.
+fn release(session: &SessionRuntime, chunk: u32) -> Time {
+    session.arrival + session.chunk_interval * u64::from(chunk)
 }
 
 /// Removes the repair requests parked on status index `at` and hands each
@@ -600,22 +599,23 @@ fn run(
         };
         move |value: u64| u32::try_from(value).map_err(|_| too_large.clone())
     };
-    let count = fits(sessions.len() as u64)?;
+    fits(sessions.len() as u64)?;
     fits(n as u64)?;
-    let view: &[SessionRuntime] = sessions;
-    let mut slots: Vec<Slot<'_>> = Vec::with_capacity(view.len());
-    let mut rare: Vec<Rare> = Vec::with_capacity(view.len());
+    let mut slots: Vec<Slot> = Vec::with_capacity(sessions.len());
+    // Lazy injection order: by arrival, ties by slot (= request order).
+    let mut order: Vec<(Time, u32)> = Vec::with_capacity(sessions.len());
     let mut node_map: Vec<u32> = Vec::new();
     let mut chunk_state: Vec<(Time, u32)> = Vec::new();
     let mut status_len = 0u64;
-    for session in view {
+    for session in sessions.iter() {
         debug_assert_eq!(session.children.len(), session.node_map.len());
         let nodes = fits(session.node_map.len() as u64)?;
         let members = nodes - 1;
+        order.push((session.arrival, slots.len() as u32));
         slots.push(Slot {
-            children: &session.children,
-            repairer: session.repairer.as_deref(),
+            children: Arc::clone(&session.children),
             id: session.id,
+            gate: session.started.or(session.deadline).unwrap_or(Time::MAX),
             completed_at: session.completed_at,
             delivered_at: session.delivered_at,
             node_base: fits(node_map.len() as u64)?,
@@ -627,15 +627,6 @@ fn run(
             started: session.started.is_some(),
             abandoned: session.abandoned,
         });
-        rare.push(Rare {
-            arrival: session.arrival,
-            deadline: session.deadline,
-            chunk_interval: session.chunk_interval,
-            started_at: session.started.unwrap_or(Time::ZERO),
-            nacks: session.nacks,
-            repair_sends: session.repair_sends,
-            failed_members: session.failed_members,
-        });
         // Node ids are below `n`, which fits 32 bits.
         node_map.extend(session.node_map.iter().map(|&node| node as u32));
         if session.chunks > 1 {
@@ -646,7 +637,7 @@ fn run(
     }
     // Parked requests name status bytes by 32-bit index.
     fits(status_len)?;
-    let (mut status, mut first_missed) = match loss {
+    let mut status = match loss {
         Some(_) => {
             let mut status = vec![PENDING; status_len as usize];
             for s in &slots {
@@ -655,10 +646,24 @@ fn run(
                     status[s.status(chunk, 0)] = REACHED;
                 }
             }
-            (status, vec![Time::ZERO; status_len as usize])
+            status
         }
-        None => (Vec::new(), Vec::new()),
+        None => Vec::new(),
     };
+    let mut tallies: Vec<Tally> = match loss {
+        Some(_) => sessions
+            .iter()
+            .map(|session| Tally {
+                nacks: session.nacks,
+                repair_sends: session.repair_sends,
+                failed_members: session.failed_members,
+            })
+            .collect(),
+        None => Vec::new(),
+    };
+    // The first-miss instant of every slot still missed, by status index
+    // (see "Session state").
+    let mut first_missed: HashMap<usize, Time> = HashMap::new();
 
     let mut busy_until = busy0.to_vec();
     let mut busy_time = vec![0u64; n];
@@ -672,9 +677,7 @@ fn run(
     // sessions at exit.
     let mut repair_delays: Vec<(u32, u64)> = Vec::new();
 
-    // Lazy injection order: by arrival, ties by slot (= request order).
-    let mut order: Vec<u32> = (0..count).collect();
-    order.sort_by_key(|&slot| (rare[slot as usize].arrival, slot));
+    order.sort_unstable();
     let mut next_inject = 0usize;
 
     macro_rules! push {
@@ -700,7 +703,7 @@ fn run(
             let pending = &mut chunk_state[$s.chunk($chunk)].1;
             *pending -= 1;
             if *pending == 0 && !$s.pipelined && $chunk + 1 < $s.chunks {
-                let release = $t.max(rare[$slot as usize].release($chunk + 1));
+                let release = $t.max(release(&sessions[$slot as usize], $chunk + 1));
                 trace_ev!(TraceEvent::new(release.raw(), Kind::ChunkRelease, $s.id)
                     .node(node_map[$s.node(0)] as usize)
                     .band(1)
@@ -730,8 +733,9 @@ fn run(
             let at = $s.status($chunk, $local);
             let was = status[at];
             status[at] = FAILED;
+            first_missed.remove(&at);
             $s.pending -= 1;
-            rare[$slot as usize].failed_members += 1;
+            tallies[$slot as usize].failed_members += 1;
             trace_ev!(TraceEvent::new($t.raw(), Kind::Abandon, $s.id)
                 .node(node_map[$s.node($local)] as usize)
                 .band(2)
@@ -780,11 +784,11 @@ fn run(
         // ≤ the current front is injected before anything at that instant
         // executes; band 0 then lets it open first (rule 1).
         while next_inject < order.len() {
-            let slot = order[next_inject];
-            let (s, arrival) = (&slots[slot as usize], rare[slot as usize].arrival);
+            let (arrival, slot) = order[next_inject];
             if queue.min_time().is_some_and(|t| arrival > t) {
                 break;
             }
+            let s = &slots[slot as usize];
             if !s.children[0].is_empty() {
                 trace_ev!(TraceEvent::new(arrival.raw(), Kind::SessionOpen, s.id)
                     .node(node_map[s.node(0)] as usize)
@@ -860,7 +864,7 @@ fn run(
                 }
                 if !s.started {
                     // First activity of the session: the churn gate.
-                    if rare[slot as usize].deadline.is_some_and(|d| t > d) {
+                    if t > s.gate {
                         s.abandoned = true;
                         trace_ev!(TraceEvent::new(t.raw(), Kind::Abandon, s.id)
                             .node(node)
@@ -884,7 +888,7 @@ fn run(
                         continue;
                     }
                     s.started = true;
-                    rare[slot as usize].started_at = t;
+                    s.gate = t;
                 }
                 let dur = specs[node].send();
                 let end = t + dur;
@@ -947,7 +951,7 @@ fn run(
                     // Pipelined train: the source opens the next chunk the
                     // moment its port is free and the chunk is released —
                     // relays downstream are still draining this one.
-                    let release = end.max(rare[slot as usize].release(chunk + 1));
+                    let release = end.max(release(&sessions[slot as usize], chunk + 1));
                     trace_ev!(TraceEvent::new(release.raw(), Kind::ChunkRelease, s.id)
                         .node(node)
                         .band(1)
@@ -1002,7 +1006,10 @@ fn run(
                     let at = s.status(chunk, local);
                     let was = status[at];
                     if was & STATE == MISSED {
-                        repair_delays.push((slot, end.saturating_sub(first_missed[at]).raw()));
+                        let first = first_missed
+                            .remove(&at)
+                            .expect("a missed slot has its miss");
+                        repair_delays.push((slot, end.saturating_sub(first).raw()));
                     }
                     status[at] = REACHED;
                     if was & PARKED != 0 {
@@ -1052,21 +1059,21 @@ fn run(
                 match status[at] & STATE {
                     PENDING => {
                         status[at] |= MISSED;
-                        first_missed[at] = t;
+                        first_missed.insert(at, t);
                     }
                     MISSED => {}
                     _ => continue,
                 }
                 let expired = profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > first_missed[at].raw().saturating_add(d));
+                    .is_some_and(|d| t.raw() > first_missed[&at].raw().saturating_add(d));
                 if attempt > profile.max_retries || expired {
                     // Retries exhausted or recovery-liveness bound blown:
                     // the session completes partially.
                     give_up!(s, slot, local, chunk, t);
                     continue;
                 }
-                rare[slot as usize].nacks += 1;
+                tallies[slot as usize].nacks += 1;
                 trace_ev!(TraceEvent::new(t.raw(), Kind::Nack, s.id)
                     .node(node_map[s.node(local)] as usize)
                     .band(2)
@@ -1102,7 +1109,7 @@ fn run(
                 // placement walks strictly upstream and the source is
                 // always reached (it holds every chunk from release), so
                 // this terminates.
-                let repairer = s.repairer;
+                let repairer = sessions[slot as usize].repairer.as_deref();
                 let repairer_of = |v: u32| repairer.map_or(0, |table| table[v as usize] as u32);
                 let mut rp = repairer_of(local);
                 while status[s.status(chunk, rp)] & STATE == FAILED {
@@ -1135,7 +1142,7 @@ fn run(
                 // so parked waiters never starve.
                 if profile
                     .repair_deadline
-                    .is_some_and(|d| t.raw() > first_missed[at].raw().saturating_add(d))
+                    .is_some_and(|d| t.raw() > first_missed[&at].raw().saturating_add(d))
                 {
                     give_up!(s, slot, local, chunk, t);
                     if let Some((waiter, claim)) = waiting[node].pop_front() {
@@ -1163,7 +1170,7 @@ fn run(
                     .chunk(chunk)
                     .seq(eseq)
                     .dur(dur.raw()));
-                rare[slot as usize].repair_sends += 1;
+                tallies[slot as usize].repair_sends += 1;
                 let lost = profile.lost(
                     fault_id(s.id, chunk),
                     rp as usize,
@@ -1195,24 +1202,20 @@ fn run(
     }
     debug_assert!(slots.iter().all(|s| s.abandoned || s.pending == 0));
 
-    // Write-back: the records give up their borrow of the sessions' plans,
-    // and each session receives its outcome once.
-    let ends: Vec<(bool, bool, Time, Time)> = slots
-        .into_iter()
-        .map(|s| (s.started, s.abandoned, s.completed_at, s.delivered_at))
-        .collect();
+    // Write-back: each session receives its outcome once.
     let mut chunk_base = 0;
-    for ((session, end), rare) in sessions.iter_mut().zip(ends).zip(rare) {
-        let (started, abandoned, completed_at, delivered_at) = end;
-        session.started = started.then_some(rare.started_at);
-        session.abandoned = abandoned;
-        session.completed_at = completed_at;
-        session.delivered_at = delivered_at;
-        session.nacks = rare.nacks;
-        session.repair_sends = rare.repair_sends;
-        session.failed_members = rare.failed_members;
-        if session.chunks > 1 {
-            let chunks = &chunk_state[chunk_base..][..session.chunks as usize];
+    for (i, (session, s)) in sessions.iter_mut().zip(slots).enumerate() {
+        session.started = s.started.then_some(s.gate);
+        session.abandoned = s.abandoned;
+        session.completed_at = s.completed_at;
+        session.delivered_at = s.delivered_at;
+        if let Some(tally) = tallies.get(i) {
+            session.nacks = tally.nacks;
+            session.repair_sends = tally.repair_sends;
+            session.failed_members = tally.failed_members;
+        }
+        if s.chunks > 1 {
+            let chunks = &chunk_state[chunk_base..][..s.chunks as usize];
             session.chunk_completed_at = chunks.iter().map(|&(done, _)| done).collect();
             chunk_base += chunks.len();
         }

@@ -578,9 +578,10 @@ impl<'a> TrafficEngine<'a> {
 }
 
 /// Most `(chunk, node)` slots one session may hold: (members + 1) ×
-/// chunks. The kernel keeps about 9 bytes of repair state per slot on lossy
-/// runs, so the bound caps one session at about 9 MB of it, and keeps every
-/// local index of the kernel's flat arrays within 32 bits.
+/// chunks. The kernel keeps one repair status byte per slot on lossy runs
+/// and 16 bytes per chunk, so the bound caps a session's kernel state at
+/// about 10 MB, and keeps every local index of the kernel's flat arrays
+/// within 32 bits.
 pub const MAX_TRAIN_SLOTS: u64 = 1 << 20;
 
 /// Per-session state during planning and simulation: the pipeline builds
