@@ -596,10 +596,14 @@ impl<'a> ShardedCluster<'a> {
             // assigned in first-appearance order along it.
             let bind_span = span("bind");
             let mut dsu = Dsu::new(nodes);
+            // The dense id of every node a session touches (marked 0 here).
+            let mut dense_of = vec![usize::MAX; nodes];
             for (_, runtime) in &sessions {
                 let first = runtime.node_map[0];
+                dense_of[first] = 0;
                 for &node in &runtime.node_map[1..] {
                     dsu.union(first, node);
+                    dense_of[node] = 0;
                 }
             }
             let mut slot_of_root = vec![usize::MAX; nodes];
@@ -619,6 +623,16 @@ impl<'a> ShardedCluster<'a> {
                 runtimes.push(runtime);
             }
             components += grouped.len();
+            // Each component's nodes in ascending order, which numbers its
+            // dense range: one pass over the pool, not a sort per component.
+            let mut touched: Vec<Vec<usize>> = vec![Vec::new(); grouped.len()];
+            for (g, dense) in dense_of.iter_mut().enumerate() {
+                if *dense != usize::MAX {
+                    let component = &mut touched[slot_of_root[dsu.find(g)]];
+                    *dense = component.len();
+                    component.push(g);
+                }
+            }
             drop(bind_span);
 
             // Simulate each component from the carried busy horizons, fanned
@@ -641,21 +655,16 @@ impl<'a> ShardedCluster<'a> {
             // straight through, sparing a second copy of the events.
             let buffered = trace.is_some() && grouped.len() > 1 && rayon::current_num_threads() > 1;
             let simulated: Vec<(Group, Horizons, Vec<TraceEvent>)> = grouped
+                .into_iter()
+                .zip(touched)
+                .collect::<Vec<_>>()
                 .into_par_iter()
-                .map(|(positions, mut runtimes)| {
-                    let mut touched: Vec<usize> = runtimes
-                        .iter()
-                        .flat_map(|runtime| runtime.node_map.iter().copied())
-                        .collect();
-                    touched.sort_unstable();
-                    touched.dedup();
+                .map(|((positions, mut runtimes), touched)| {
                     let dense_specs: Vec<NodeSpec> = touched.iter().map(|&g| specs[g]).collect();
                     let dense_busy0: Vec<Time> = touched.iter().map(|&g| busy_until[g]).collect();
                     for runtime in &mut runtimes {
                         for node in &mut runtime.node_map {
-                            *node = touched.binary_search(node).expect(
-                                "invariant: `touched` holds every node of the component's sessions",
-                            );
+                            *node = dense_of[*node];
                         }
                     }
                     let buffer = buffered.then(MemorySink::new);
