@@ -49,21 +49,27 @@
 //!
 //! # The event queue
 //!
-//! The rule is realised without comparing keys. Events due at the current
-//! instant wait in three FIFOs, one per band, and a pop drains band 0, then
-//! band 1, then band 2. Later events sit in 64 radix buckets: an event's
-//! bucket is the highest bit in which its time differs from the current
-//! instant, so every event in a lower bucket is earlier than every event in
-//! a higher one. When the FIFOs run dry, the lowest non-empty bucket is
+//! The rule is realised without comparing keys. Time is cut into windows
+//! of 256 ticks. Events due in the current instant's window wait in one
+//! slot per instant, three FIFOs per slot, one per band; a pop takes the
+//! first occupied slot at or after the current instant, found in a
+//! 256-bit occupancy mask, and drains its band 0, then band 1, then band
+//! 2. Later events sit in radix buckets: an event's bucket is the highest
+//! bit in which its time differs from the current instant (at least bit
+//! 8), so every event in a lower bucket is earlier than every event in a
+//! higher one. When the window runs dry, the lowest non-empty bucket is
 //! redistributed around its earliest time, which becomes the new instant.
 //! Its events share every bit above the bucket's, so each moves to a lower
-//! bucket or to a FIFO; an event moves down at most 64 times.
+//! bucket or into the new window; an event moves at most 56 times. Most
+//! events land within 256 ticks of the instant that pushes them and are
+//! filed once.
 //!
 //! The FIFOs and buckets are linked lists threaded through one slab of
 //! entries: a push takes a free slot or appends one, redistribution
 //! relinks slots without moving entries, and a pop frees its slot. The
 //! queue's memory is therefore one vector as long as the queue has ever
-//! been, grown by doubling as a binary heap's is. That keeps the
+//! been, grown by doubling as a binary heap's is, plus the window's fixed
+//! table of 256 slots. That keeps the
 //! allocator steady: vectors per bucket, each growing on its own in the
 //! middle of a run, varied from one run to the next how much of a large
 //! workload's heap the allocator handed back to the system and then had
@@ -72,9 +78,9 @@
 //! FIFO order is `seq` order. Bands 1 and 2 number their events from one
 //! counter in push order, and band 0 by injection rank, so within one band
 //! push order is `seq` order. Events of equal time always share a bucket,
-//! buckets only append and redistribution is stable, so the events of an
-//! instant reach their FIFOs in push order, and pushes at the current
-//! instant append behind them.
+//! buckets only append and redistribution is stable, and the window only
+//! moves on once its slots are empty, so the events of an instant reach
+//! their FIFOs in push order, and later pushes append behind them.
 //!
 //! The queue is **monotone**: no push may land before the instant being
 //! executed. Every push in the loop lands at `t`, `t + dur`,
@@ -274,6 +280,9 @@ impl List {
     };
 }
 
+/// Width in ticks of the queue's near window: a power of two.
+const NEAR: u64 = 256;
+
 /// The kernel's monotone radix event queue (see the module docs): pops
 /// entries in ascending `(time, band, seq)` order as long as no entry is
 /// pushed before the instant last popped. Every entry sits in one slab and
@@ -287,10 +296,14 @@ struct RadixQueue {
     /// First slot of the stack of popped slots, linked through the same
     /// successor field and reused before the slab grows.
     free: usize,
-    /// Entries due at `now`, one FIFO per band.
-    due: [List; 3],
+    /// Entries due in the window of [`NEAR`] ticks holding `now`: slot
+    /// `time % NEAR`, one FIFO per band.
+    near: Vec<[List; 3]>,
+    /// Bit `s % 64` of word `s / 64` is set while near slot `s` holds
+    /// entries.
+    near_occupied: [u64; 4],
     /// Later entries: bucket `b` holds those whose time first differs from
-    /// `now` in bit `b`.
+    /// `now` in bit `b`, which is at least `log2(NEAR)`.
     buckets: [List; 64],
     /// Earliest time in each bucket (`Time::MAX` when empty).
     mins: [Time; 64],
@@ -299,13 +312,14 @@ struct RadixQueue {
 }
 
 impl RadixQueue {
-    /// An empty queue at instant zero; allocates nothing until pushed to.
+    /// An empty queue at instant zero.
     fn new() -> Self {
         RadixQueue {
             now: Time::ZERO,
             slab: Vec::new(),
             free: NIL,
-            due: [List::EMPTY; 3],
+            near: vec![[List::EMPTY; 3]; NEAR as usize],
+            near_occupied: [0; 4],
             buckets: [List::EMPTY; 64],
             mins: [Time::MAX; 64],
             occupied: 0,
@@ -327,7 +341,8 @@ impl RadixQueue {
         self.file(slot);
     }
 
-    /// Appends the entry in `slot` to the FIFO or bucket its time selects.
+    /// Appends the entry in `slot` to the near FIFO or bucket its time
+    /// selects.
     fn file(&mut self, slot: usize) {
         let (time, band, ..) = self.slab[slot].0;
         debug_assert!(
@@ -335,8 +350,10 @@ impl RadixQueue {
             "event at {time} pushed behind the current instant {}",
             self.now
         );
-        let list = if time == self.now {
-            &mut self.due[usize::from(band)]
+        let list = if time.raw() / NEAR == self.now.raw() / NEAR {
+            let near = (time.raw() % NEAR) as usize;
+            self.near_occupied[near / 64] |= 1 << (near % 64);
+            &mut self.near[near][usize::from(band)]
         } else {
             let bucket = 63 - (time.raw() ^ self.now.raw()).leading_zeros() as usize;
             self.mins[bucket] = self.mins[bucket].min(time);
@@ -351,25 +368,49 @@ impl RadixQueue {
         list.tail = slot;
     }
 
+    /// The first near slot at or after `now`'s that holds entries.
+    fn next_near(&self) -> Option<usize> {
+        let from = (self.now.raw() % NEAR) as usize;
+        let mut word = from / 64;
+        let mut bits = self.near_occupied[word] & (!0 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.near_occupied.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The instant of near slot `near`.
+    fn near_time(&self, near: usize) -> Time {
+        Time::new(self.now.raw() - self.now.raw() % NEAR + near as u64)
+    }
+
     /// Time of the entry the next [`Self::pop`] returns.
     fn min_time(&self) -> Option<Time> {
-        if self.due.iter().any(|fifo| fifo.head != NIL) {
-            Some(self.now)
-        } else if self.occupied != 0 {
-            Some(self.mins[self.occupied.trailing_zeros() as usize])
-        } else {
-            None
+        match self.next_near() {
+            Some(near) => Some(self.near_time(near)),
+            None if self.occupied != 0 => Some(self.mins[self.occupied.trailing_zeros() as usize]),
+            None => None,
         }
     }
 
     fn pop(&mut self) -> Option<Entry> {
         loop {
-            if let Some(fifo) = self.due.iter_mut().find(|fifo| fifo.head != NIL) {
+            if let Some(near) = self.next_near() {
+                self.now = self.near_time(near);
+                let fifos = &mut self.near[near];
+                let fifo = fifos
+                    .iter_mut()
+                    .find(|fifo| fifo.head != NIL)
+                    .expect("an occupied near slot holds an entry");
                 let slot = fifo.head;
                 let (entry, next) = self.slab[slot];
                 fifo.head = next;
                 if next == NIL {
                     fifo.tail = NIL;
+                    if fifos.iter().all(|fifo| fifo.head == NIL) {
+                        self.near_occupied[near / 64] &= !(1 << (near % 64));
+                    }
                 }
                 self.slab[slot].1 = self.free;
                 self.free = slot;
@@ -378,8 +419,9 @@ impl RadixQueue {
             if self.occupied == 0 {
                 return None;
             }
-            // Advance to the lowest bucket's earliest time; redistributing
-            // the bucket puts at least that entry into a FIFO.
+            // The window is spent: advance to the lowest bucket's earliest
+            // time, in a later window; redistributing the bucket puts at
+            // least that entry into a near slot.
             let lowest = self.occupied.trailing_zeros() as usize;
             self.now = std::mem::replace(&mut self.mins[lowest], Time::MAX);
             self.occupied &= !(1 << lowest);
