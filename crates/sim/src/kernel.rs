@@ -368,16 +368,12 @@ impl RadixQueue {
         list.tail = slot;
     }
 
-    /// The first near slot at or after `now`'s that holds entries.
+    /// The first near slot that holds entries. No slot before `now`'s
+    /// does while pushes stay monotone; an entry wrapped behind `now` is
+    /// still found, so the queue drops no event.
     fn next_near(&self) -> Option<usize> {
-        let from = (self.now.raw() % NEAR) as usize;
-        let mut word = from / 64;
-        let mut bits = self.near_occupied[word] & (!0 << (from % 64));
-        while bits == 0 {
-            word += 1;
-            bits = *self.near_occupied.get(word)?;
-        }
-        Some(word * 64 + bits.trailing_zeros() as usize)
+        let word = self.near_occupied.iter().position(|&bits| bits != 0)?;
+        Some(word * 64 + self.near_occupied[word].trailing_zeros() as usize)
     }
 
     /// The instant of near slot `near`.
