@@ -513,7 +513,6 @@ impl Slot {
 }
 
 /// A slot's repair counts, kept on lossy runs only.
-#[derive(Clone, Copy)]
 struct Tally {
     nacks: u64,
     repair_sends: u64,
