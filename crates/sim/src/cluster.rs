@@ -494,7 +494,7 @@ impl<'a> ShardedCluster<'a> {
             .as_ref()
             .and_then(|t| t.profiler.as_deref());
         let span = |phase| profiler.map(|p| p.span(phase));
-        let trace = TraceDest::from(self.config.telemetry.as_ref());
+        let trace = TraceDest::from(self.config.telemetry.as_ref(), nodes, shards);
         // Admission decisions carry no node, so one run-wide recorder (no
         // remap) serves every epoch; runs without a control plane decide
         // nothing.
@@ -808,10 +808,13 @@ impl<'a> ShardedCluster<'a> {
             migrations,
             decisions: decisions.into_iter().map(str::to_string).collect(),
         });
-        let telemetry = trace.and_then(|t| {
-            let sizes: Vec<usize> = (0..shards).map(|s| map.shard(s).len()).collect();
-            t.report(&sizes)
-        });
+        let telemetry = match trace {
+            Some(trace) => {
+                let sizes: Vec<usize> = (0..shards).map(|s| map.shard(s).len()).collect();
+                trace.report(&sizes)?
+            }
+            None => None,
+        };
         Ok(self.report(
             &map,
             records,
@@ -2090,6 +2093,66 @@ mod tests {
             serde_json::to_string(&stripped).unwrap(),
             "outside the telemetry section the report must be unchanged"
         );
+    }
+
+    #[test]
+    fn the_inline_series_fold_matches_the_reference_over_the_raw_stream() {
+        // The run folds its series as events are recorded: straight through
+        // on one worker, from per-component buffers on several, under live
+        // migrations. `TimeSeries::over` folds the user sink's copy of the
+        // same stream after the run, over the final partition's shard
+        // sizes. Both must render the same section.
+        use hnow_telemetry::{MemorySink, TimeSeries};
+        let pool = pool();
+        let net = NetParams::new(2);
+        let map = ShardMap::partition(&pool, 4).unwrap();
+        let initial: Vec<usize> = (0..4).map(|s| map.shard(s).len()).collect();
+        let controlled = RunConfig::default().sharded(4).with_control(ControlConfig {
+            epoch: 30,
+            admission: true,
+            policy: "load-aware".to_string(),
+            rebalance: Some(RebalanceConfig {
+                enter_gap: 1.0,
+                exit_gap: 0.5,
+                max_moves: 1,
+                min_shard_nodes: 2,
+            }),
+        });
+        let hot = HotSpotPattern::bursty(6, 20, 2, 4, 60, 1.0)
+            .generate(&map, 180, 13)
+            .unwrap();
+        let split = ShardedPattern::poisson(6.0, 5, 0.0)
+            .generate(&map, 100, 42)
+            .unwrap();
+        let lossy = lossy_run(0.05, 42, RepairPlacement::SubtreeRoot, 4);
+        for (name, config, requests) in [("controlled", controlled, hot), ("split", lossy, split)] {
+            for threads in [1usize, 8] {
+                let sink = Arc::new(MemorySink::new());
+                let traced = config.clone().with_threads(threads).telemetry(
+                    TelemetryConfig::new()
+                        .with_sink(sink.clone())
+                        .with_timeseries(64),
+                );
+                let report = ShardedCluster::with_config(&pool, net, &traced)
+                    .unwrap()
+                    .run(&requests)
+                    .unwrap();
+                let sizes: Vec<usize> = report.per_shard.iter().map(|s| s.nodes).collect();
+                match report.control.as_ref() {
+                    Some(control) => {
+                        assert!(!control.migrations.is_empty(), "{name}: no migration");
+                        assert_ne!(sizes, initial, "{name}: the partition must change");
+                    }
+                    None => assert!(report.components > 1, "{name}: the run must split"),
+                }
+                let reference = TimeSeries::over(&sink.take(), 64, &sizes).unwrap();
+                assert_eq!(
+                    report.telemetry,
+                    Some(reference),
+                    "{name}, threads {threads}: the inline fold drifted from the reference"
+                );
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,12 @@ pub enum SimError {
         /// Its (members + 1) × chunks.
         slots: u64,
     },
+    /// The run's time series would hold more counters than
+    /// [`MAX_SERIES_COUNTERS`](hnow_telemetry::MAX_SERIES_COUNTERS): its
+    /// window is too narrow for how late the run's events happen. Checked
+    /// before the series grows, so the run still simulates every session
+    /// but returns no report.
+    SeriesTooLarge(hnow_telemetry::SeriesTooLarge),
     /// A simulated component outgrows the occupancy kernel's 32-bit ids:
     /// more than `u32::MAX` sessions or nodes, or more than `u32::MAX`
     /// tree nodes or `(chunk, node)` slots over its sessions.
@@ -144,6 +150,7 @@ impl fmt::Display for SimError {
                 "session {session}'s chunk train needs {slots} (chunk, node) slots, more than {}",
                 crate::sessions::MAX_TRAIN_SLOTS
             ),
+            SimError::SeriesTooLarge(e) => write!(f, "time-series window too narrow: {e}"),
             SimError::ComponentTooLarge { sessions, nodes } => write!(
                 f,
                 "a component of {sessions} sessions over {nodes} nodes outgrows the kernel's 32-bit ids"
@@ -158,6 +165,7 @@ impl Error for SimError {
             SimError::Schedule(e) => Some(e),
             SimError::Instance { error, .. } => Some(error),
             SimError::Sharding(e) => Some(e),
+            SimError::SeriesTooLarge(e) => Some(e),
             _ => None,
         }
     }

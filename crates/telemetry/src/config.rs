@@ -37,8 +37,11 @@ impl TelemetryConfig {
         self
     }
 
-    /// Buckets the run's trace into `window`-tick time series and
-    /// attaches the result to the report's `telemetry` section.
+    /// Buckets the run's trace into `window`-tick time series, folding
+    /// each event as it is recorded, and attaches the result to the
+    /// report's `telemetry` section. A window so narrow that the series
+    /// would pass [`MAX_SERIES_COUNTERS`](crate::MAX_SERIES_COUNTERS)
+    /// fails the run.
     pub fn with_timeseries(mut self, window: u64) -> Self {
         self.timeseries = Some(window);
         self

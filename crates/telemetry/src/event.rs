@@ -245,11 +245,6 @@ impl MemorySink {
         std::mem::take(&mut *self.events.lock().unwrap())
     }
 
-    /// Copies out everything recorded so far, leaving the buffer intact.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().clone()
-    }
-
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
         self.events.lock().unwrap().len()
@@ -312,8 +307,9 @@ mod tests {
                 .chunk(3)
                 .seq(11),
         );
-        assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.len(), 1);
-        assert_eq!(a.snapshot()[0].band, 2);
+        let events = a.take();
+        assert_eq!(events, b.take());
+        assert_eq!(events[0].band, 2);
     }
 }

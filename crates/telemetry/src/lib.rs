@@ -17,7 +17,10 @@
 //! 2. **Aggregation is order-independent.** The [`TimeSeries`] collector
 //!    folds events into per-bucket `u64` sums and counts, so any thread
 //!    interleaving of component simulations produces the same
-//!    [`TelemetryReport`]. Floats appear only in final divisions.
+//!    [`TelemetryReport`]. Floats appear only in final divisions. A run
+//!    folds each event into its series as it is recorded, so a series
+//!    costs no event buffer, and the series holds at most
+//!    [`MAX_SERIES_COUNTERS`] counters.
 //! 3. **Wall-clock data never enters a report.** The [`PhaseProfiler`]
 //!    keeps `plan`/`admit`/`bind`/`simulate`/`rebalance` spans on the
 //!    side; sim-time reports stay comparable byte for byte.
@@ -46,4 +49,4 @@ pub use event::{MemorySink, Recorder, TraceEvent, TraceEventKind, TraceSink};
 pub use histogram::LogHistogram;
 pub use invariants::check_invariants;
 pub use profile::{PhaseGuard, PhaseProfiler, PhaseSpan};
-pub use series::{TelemetryReport, TimeSeries};
+pub use series::{SeriesTooLarge, TelemetryReport, TimeSeries, MAX_SERIES_COUNTERS};
