@@ -42,13 +42,6 @@ impl GreedyOptions {
     pub const REFINED: GreedyOptions = GreedyOptions {
         refine_leaves: true,
     };
-
-    /// Builder-style setter for the leaf refinement flag.
-    #[must_use]
-    pub fn with_refine_leaves(mut self, refine_leaves: bool) -> Self {
-        self.refine_leaves = refine_leaves;
-        self
-    }
 }
 
 /// Runs the greedy algorithm and returns the schedule tree.

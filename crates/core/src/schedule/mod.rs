@@ -8,7 +8,7 @@ pub mod tree;
 pub mod validate;
 
 pub use compose::{compose, ComposedSchedule};
-pub use ops::{refine_leaves, reverse_children_of};
+pub use ops::refine_leaves;
 pub use repair::{RepairPlacement, REPAIR_PLACEMENTS};
 pub use times::{
     delivery_completion, evaluate, evaluate_with_specs, reception_completion, ScheduleTiming,

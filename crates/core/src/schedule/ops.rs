@@ -63,19 +63,6 @@ pub fn refine_leaves(
     ScheduleTree::from_child_lists(child_lists)
 }
 
-/// Reverses the delivery order of the children of every node — the literal
-/// operation mentioned in the paper is to reverse the order of the *leaf*
-/// deliveries of the greedy schedule; this helper reverses an arbitrary
-/// node's child list and is mostly useful for constructing counter-examples
-/// and tests.
-pub fn reverse_children_of(tree: &ScheduleTree, v: NodeId) -> Result<ScheduleTree, CoreError> {
-    let mut out = tree.clone();
-    let mut list = out.children(v).to_vec();
-    list.reverse();
-    out.reorder_children(v, list)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,15 +172,5 @@ mod tests {
         let before = reception_completion(&tree, &set, net).unwrap();
         let refined = refine_leaves(&tree, &set, net).unwrap();
         assert_eq!(reception_completion(&refined, &set, net).unwrap(), before);
-    }
-
-    #[test]
-    fn reverse_children_helper() {
-        let (set, net) = figure1();
-        let tree = figure1a_tree();
-        let reversed = reverse_children_of(&tree, NodeId(1)).unwrap();
-        assert_eq!(reversed.children(NodeId(1)), &[NodeId(4), NodeId(3)]);
-        // Reversing node 1's children yields the paper's Figure 1(b): 9.
-        assert_eq!(reception_completion(&reversed, &set, net).unwrap().raw(), 9);
     }
 }

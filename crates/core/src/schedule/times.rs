@@ -70,14 +70,6 @@ impl ScheduleTiming {
     pub fn receptions(&self) -> &[Time] {
         &self.reception
     }
-
-    /// Destination ids ordered by non-decreasing delivery time (ties broken
-    /// by id). Useful for layeredness checks and reporting.
-    pub fn destinations_by_delivery(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = (1..self.delivery.len()).map(NodeId).collect();
-        ids.sort_by_key(|&v| (self.delivery[v.index()], v));
-        ids
-    }
 }
 
 /// Evaluates the timing of a complete schedule.
@@ -251,10 +243,6 @@ mod tests {
         assert_eq!(t.reception(NodeId(3)), Time::new(15));
         assert_eq!(t.reception_completion(), Time::new(15));
         assert_eq!(t.delivery_completion(), Time::new(11));
-        assert_eq!(
-            t.destinations_by_delivery(),
-            vec![NodeId(1), NodeId(2), NodeId(3)]
-        );
     }
 
     #[test]

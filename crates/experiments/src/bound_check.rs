@@ -118,15 +118,6 @@ pub fn run(config: &BoundCheckConfig) -> Vec<BoundSample> {
         .collect()
 }
 
-/// Checks the Figure 1 instance specifically (used by tests and the
-/// quickstart example).
-pub fn figure1_sample() -> BoundSample {
-    let (set, net) = crate::figure1::figure1_instance();
-    // Four destinations: the branch-and-bound planner inside `measure`
-    // proves the exact optimum well within its budget.
-    measure(&Instance::new(set, net), 4, 0)
-}
-
 /// Summarises samples into the experiment table (one row per size).
 pub fn table(samples: &[BoundSample]) -> Table {
     let mut t = Table::new(
@@ -187,14 +178,6 @@ mod tests {
             assert!(s.greedy_refined <= s.greedy);
             assert!(s.optimal <= s.greedy_refined);
         }
-    }
-
-    #[test]
-    fn figure1_sample_matches_known_values() {
-        let s = figure1_sample();
-        assert_eq!(s.greedy, 10);
-        assert_eq!(s.optimal, 8);
-        assert!(s.bound_holds);
     }
 
     #[test]

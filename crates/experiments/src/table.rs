@@ -103,16 +103,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let mut out = format!("{}\n", self.columns.join(","));
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|c| c.to_string()).collect();
-            out.push_str(&format!("{}\n", cells.join(",")));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -134,9 +124,6 @@ mod tests {
         assert!(md.contains("**demo**"));
         assert!(md.contains("| greedy | 10 | 1.250 |"));
         assert!(md.contains("|---|---|---|"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("strategy,completion,ratio\n"));
-        assert!(csv.contains("optimal,8,1.000"));
         assert_eq!(t.to_string(), md);
     }
 

@@ -66,12 +66,6 @@ impl ChunkProfile {
         self.pipelined = false;
         self
     }
-
-    /// Whether this profile describes an actual multi-chunk train (the
-    /// simulator's chunk machinery only engages when this is true).
-    pub fn is_streaming(&self) -> bool {
-        self.chunks > 1
-    }
 }
 
 #[cfg(test)]
@@ -82,13 +76,11 @@ mod tests {
     fn constructor_clamps_and_builds() {
         let p = ChunkProfile::new(0, 10);
         assert_eq!(p.chunks, 1);
-        assert!(!p.is_streaming());
         let p = ChunkProfile::new(8, 25).with_deadline(100).sequential();
         assert_eq!(p.chunks, 8);
         assert_eq!(p.interval, 25);
         assert_eq!(p.deadline, Some(100));
         assert!(!p.pipelined);
-        assert!(p.is_streaming());
     }
 
     #[test]

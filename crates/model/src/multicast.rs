@@ -236,24 +236,6 @@ impl MulticastSet {
         all.dedup();
         all.len()
     }
-
-    /// Returns a new multicast set containing only the destinations selected
-    /// by `keep` (a predicate over the canonical destination index). The
-    /// source is unchanged. Useful for building sub-multicasts in tests and
-    /// experiments.
-    pub fn restrict<F: FnMut(usize, NodeSpec) -> bool>(&self, mut keep: F) -> MulticastSet {
-        let destinations = self
-            .destinations
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| keep(i, s))
-            .map(|(_, &s)| s)
-            .collect();
-        MulticastSet {
-            source: self.source,
-            destinations,
-        }
-    }
 }
 
 impl fmt::Display for MulticastSet {
@@ -383,16 +365,6 @@ mod tests {
         assert_eq!(set.num_destinations(), 0);
         assert_eq!(set.beta(), Time::ZERO);
         assert!(set.is_homogeneous());
-    }
-
-    #[test]
-    fn restrict_keeps_source_and_filters_destinations() {
-        let set = figure1();
-        let fast_only = set.restrict(|_, s| s.send() == Time::new(1));
-        assert_eq!(fast_only.num_destinations(), 3);
-        assert_eq!(fast_only.source(), NodeSpec::new(2, 3));
-        let none = set.restrict(|_, _| false);
-        assert_eq!(none.num_destinations(), 0);
     }
 
     #[test]

@@ -58,14 +58,6 @@ impl NetParams {
     pub const fn latency(&self) -> Time {
         self.latency
     }
-
-    /// A zero-latency network; useful for embedding the heterogeneous-node
-    /// model, which folds latency into the per-node cost.
-    pub const fn zero_latency() -> Self {
-        NetParams {
-            latency: Time::ZERO,
-        }
-    }
 }
 
 impl Default for NetParams {
@@ -97,7 +89,6 @@ mod tests {
     fn net_params() {
         let net = NetParams::new(5);
         assert_eq!(net.latency(), Time::new(5));
-        assert_eq!(NetParams::zero_latency().latency(), Time::ZERO);
         assert_eq!(NetParams::default().latency(), Time::new(1));
         assert_eq!(net.to_string(), "L=5");
     }

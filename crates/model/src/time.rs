@@ -85,12 +85,6 @@ impl Time {
     pub fn min(self, other: Time) -> Time {
         Time(self.0.min(other.0))
     }
-
-    /// Whether this is the zero instant.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Display for Time {
@@ -179,8 +173,6 @@ mod tests {
         assert_eq!(Time::from(17u64), Time::new(17));
         assert_eq!(u64::from(Time::new(17)), 17);
         assert_eq!(Time::ZERO.raw(), 0);
-        assert!(Time::ZERO.is_zero());
-        assert!(!Time::new(1).is_zero());
     }
 
     #[test]

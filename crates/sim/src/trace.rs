@@ -70,16 +70,6 @@ impl SimTrace {
             .sum()
     }
 
-    /// Idle time of a node between its first activity and the multicast's
-    /// completion — a measure of how unevenly the schedule loads the nodes.
-    pub fn idle_time(&self, v: NodeId) -> Time {
-        let first = self.timelines[v.index()]
-            .first()
-            .map(|i| i.start)
-            .unwrap_or(self.completion);
-        (self.completion - first).saturating_sub(self.busy_time(v))
-    }
-
     /// Renders an ASCII Gantt chart of the execution, `width` characters
     /// wide. Send overheads render as `S`, receive overheads as `R`, idle
     /// time as `.`.
@@ -176,9 +166,6 @@ mod tests {
         assert_eq!(t.delivery(NodeId(1)), Time::new(3));
         assert_eq!(t.busy_time(NodeId(0)), Time::new(2));
         assert_eq!(t.busy_time(NodeId(1)), Time::new(1));
-        // Source active from 0 to 2, completion 4: idle 2.
-        assert_eq!(t.idle_time(NodeId(0)), Time::new(2));
-        assert_eq!(t.idle_time(NodeId(1)), Time::ZERO);
     }
 
     #[test]
