@@ -677,7 +677,7 @@ impl<'a> ShardedCluster<'a> {
                             .with_node_map(&touched)
                             .with_shards(&shard_of)
                     });
-                    let carry = kernel::simulate_from(
+                    let carry = kernel::simulate(
                         &dense_specs,
                         self.net,
                         &mut runtimes,
@@ -710,6 +710,11 @@ impl<'a> ShardedCluster<'a> {
                     }
                 }
                 groups.push(group);
+            }
+            // A series this epoch outgrew could not render: stop here
+            // rather than simulate the epochs after it.
+            if let Some(trace) = trace.as_ref() {
+                trace.check()?;
             }
             groups.push(shed.into_iter().unzip());
             let mut slot = vec![(0, 0); batch.len()];
@@ -2264,7 +2269,8 @@ mod tests {
         /// latencies, every cross-shard session's blocks, stitched from
         /// their cached plans, give the child lists, node map, `R_T`,
         /// `D_T` and repairers (under every placement) of the tree
-        /// `compose` grafts and re-times from scratch.
+        /// `compose` grafts and re-times from scratch, and every stitched
+        /// repairer is a proper ancestor.
         #[test]
         fn stitching_matches_the_composed_reference(
             raw in proptest::collection::vec((1u64..=6, 0u64..=6), 3),
@@ -2338,6 +2344,24 @@ mod tests {
                     prop_assert_eq!(stitched.planned_reception, reference.planned_reception);
                     prop_assert_eq!(stitched.planned_delivery, reference.planned_delivery);
                     prop_assert_eq!(&stitched.repairer, &reference.repairer, "{}", repair.name());
+                    // Escalation's precondition (the kernel's "Repairer
+                    // readiness"): every repairer is a proper ancestor in
+                    // the stitched tree, so walking repairers climbs
+                    // strictly upstream to the source.
+                    let table = stitched.repairer.as_deref().unwrap();
+                    let mut parent = vec![None; table.len()];
+                    for (p, list) in stitched.children.iter().enumerate() {
+                        for &c in list {
+                            parent[c] = Some(p);
+                        }
+                    }
+                    for (v, &rp) in table.iter().enumerate().skip(1) {
+                        let mut up = parent[v];
+                        while up.is_some_and(|a| a != rp) {
+                            up = up.and_then(|a| parent[a]);
+                        }
+                        prop_assert_eq!(up, Some(rp), "{}: repairer of {}", repair.name(), v);
+                    }
                 }
             }
         }

@@ -47,8 +47,10 @@
 //!   the kernel's band-2 documentation in `kernel`).
 //! * [`perturb`] — reproducible multiplicative overhead jitter, replayed
 //!   through the same occupancy kernel.
-//! * [`validate`] — cross-check of simulated against closed-form times and
-//!   the one-port occupancy checker ([`check_one_port`]).
+//! * [`validate`] — cross-check of simulated against closed-form times
+//!   ([`check_against_analytic`]). The kernel's own activity record is its
+//!   trace, which [`hnow_telemetry::check_invariants`] holds to the
+//!   one-port rule.
 //!
 //! ```
 //! use hnow_core::greedy_schedule;
@@ -98,4 +100,4 @@ pub use sessions::{
     TrafficReport,
 };
 pub use trace::{Activity, BusyInterval, SimTrace};
-pub use validate::{check_against_analytic, check_one_port};
+pub use validate::check_against_analytic;

@@ -1,11 +1,10 @@
-//! Cross-checking the simulator against the analytic timing, and the
-//! one-port occupancy checker for activity logs.
+//! Cross-checking the simulator against the analytic timing.
 
 use crate::engine::execute;
 use crate::error::SimError;
 use hnow_core::schedule::evaluate;
 use hnow_core::ScheduleTree;
-use hnow_model::{MulticastSet, NetParams, NodeId, Time};
+use hnow_model::{MulticastSet, NetParams, NodeId};
 
 /// Executes the schedule on the simulator and verifies that every delivery
 /// and reception time matches the closed-form evaluation of
@@ -28,37 +27,6 @@ pub fn check_against_analytic(
         mismatches.push(NodeId::SOURCE);
     }
     Ok(mismatches)
-}
-
-/// Checks an activity log against the model's one-port constraint: no node
-/// may have two overlapping busy intervals. `activities` is `(node, start,
-/// end)` in any order over the node id space `0..n`; returns the nodes with
-/// at least one overlap, ascending (empty means the log is one-port clean).
-/// Zero-length activities cannot overlap anything. Repair retransmissions
-/// claim node time like any planned activity, so lossy kernel logs must
-/// pass this check unchanged.
-pub fn check_one_port(n: usize, activities: &[(usize, Time, Time)]) -> Vec<usize> {
-    let mut per_node: Vec<Vec<(Time, Time)>> = vec![Vec::new(); n];
-    for &(node, start, end) in activities {
-        per_node[node].push((start, end));
-    }
-    let mut offenders = Vec::new();
-    for (node, intervals) in per_node.iter_mut().enumerate() {
-        intervals.sort_unstable();
-        let mut horizon = Time::ZERO;
-        let mut overlap = false;
-        for &(start, end) in intervals.iter().filter(|&&(s, e)| e > s) {
-            if start < horizon {
-                overlap = true;
-                break;
-            }
-            horizon = end;
-        }
-        if overlap {
-            offenders.push(node);
-        }
-    }
-    offenders
 }
 
 #[cfg(test)]

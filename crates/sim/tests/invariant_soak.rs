@@ -3,8 +3,12 @@
 //! of events, not only on the small scenarios the unit and property tests
 //! trace.
 //!
-//! The soak is `#[ignore]`d (a few seconds in release); run it with
+//! The soak is `#[ignore]`d (a few seconds in release, about 15 s in a
+//! debug build); run it with
 //! `cargo test --release -p hnow-sim --test invariant_soak -- --ignored`.
+//! A debug build also runs the kernel's `debug_assert!`s over every event:
+//! monotone queue pushes, no event popped for an abandoned session, and a
+//! NACK-marked miss behind every retransmission. CI runs it in both.
 
 use hnow_core::RepairPlacement;
 use hnow_model::{ChunkProfile, NetParams};

@@ -12,8 +12,7 @@ use std::collections::VecDeque;
 ///    band 1, NACK/repair traffic band 2.
 /// 2. **One-port occupancy** — per node, the `[time, time + dur)`
 ///    intervals of `send`/`receive`/`repair` events never overlap
-///    (zero-length occupancies cannot overlap anything, matching the
-///    simulator's own activity-log checker).
+///    (zero-length occupancies cannot overlap anything).
 /// 3. **FIFO park order** — per node, every wake pops the oldest parked
 ///    claim: replaying parks into a queue, each wake must match the
 ///    queue's head `(session, chunk)`, and no wake may fire on an empty

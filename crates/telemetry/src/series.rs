@@ -215,6 +215,12 @@ impl TimeSeries {
         series.report(shard_sizes)
     }
 
+    /// The refusal [`TimeSeries::report`] returns, once an event would have
+    /// grown the series past [`MAX_SERIES_COUNTERS`].
+    pub fn refused(&self) -> Option<SeriesTooLarge> {
+        self.refused
+    }
+
     /// Renders the collected buckets as the report's `telemetry` section,
     /// with `shard_sizes` holding one node count per shard the series was
     /// built with. Refuses a series that an event would have grown past
